@@ -80,6 +80,15 @@ class BaseAccelerator:
         self.net = CrossbarNetwork(config)
         self.interface = InterfaceBlock()
         self.memory = self._build_memory()
+        # Resolved once for mem_stall_cycles: each PE's memory port (its
+        # tile's L1, or the PE itself in stream-buffer mode) and the
+        # clock period.
+        if config.memory == MEMORY_STREAM:
+            self._mem_ports = list(range(config.num_pes))
+        else:
+            self._mem_ports = [config.tile_of(pe_id)
+                               for pe_id in range(config.num_pes)]
+        self._period_ns = config.clock.period_ns
         if config.shared_worker_kinds is not None:
             from repro.arch.hetero import SharedWorkerUnits
 
@@ -137,22 +146,15 @@ class BaseAccelerator:
             return PerfectMemory(num_l1=cfg.num_tiles)
         raise ConfigError(f"unknown memory style {cfg.memory!r}")
 
-    def _mem_requester(self, pe_id: int) -> int:
-        """Memory-port index of a PE: the tile's L1, or the PE itself in
-        stream-buffer mode."""
-        if self.config.memory == MEMORY_STREAM:
-            return pe_id
-        return self.config.tile_of(pe_id)
-
     def mem_stall_cycles(self, pe_id: int, op: MemOp) -> int:
         """Stall cycles (in the accelerator clock) for one memory op."""
-        now_ns = self.config.clock.cycles_to_ns(self.engine.now)
-        result = self.memory.access(
-            self._mem_requester(pe_id), op.addr, op.nbytes, op.is_write, now_ns
-        )
-        if result.stall_ns <= 0.0:
+        stall_ns = self.memory.access(
+            self._mem_ports[pe_id], op.addr, op.nbytes, op.is_write,
+            self.engine.now * self._period_ns,
+        ).stall_ns
+        if stall_ns <= 0.0:
             return 0
-        return self.config.clock.ns_to_cycles(result.stall_ns)
+        return self.config.clock.ns_to_cycles(stall_ns)
 
     # -- outstanding-work accounting -------------------------------------
     def add_work(self, amount: int = 1) -> None:

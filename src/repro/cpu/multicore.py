@@ -29,11 +29,8 @@ from repro.sim.timing import CPU_CLOCK, ClockDomain
 
 #: CPU-domain stall contributions (Table III at 1 GHz).
 CPU_MEM_LATENCIES = MemLatencies(
-    l1_hit_ns=1.0,
     l2_hit_ns=10.0,
     c2c_ns=15.0,
-    upgrade_ns=8.0,
-    dram_ns=50.0,
 )
 
 

@@ -18,13 +18,11 @@ from repro.sim.timing import ZYNQ_CPU_CLOCK
 #: OOO core of Table III (fewer issue slots, smaller window).
 A9_CPI_FACTOR = 1.8
 
-#: Zynq PS memory latencies at ns scale: same L1 behaviour, slower L2/DRAM.
+#: Zynq PS memory latencies at ns scale: same L1 behaviour, slower L2 and
+#: cache-to-cache transfers (DRAM latency is ``dram_access_ns`` below).
 ZYNQ_MEM_LATENCIES = MemLatencies(
-    l1_hit_ns=1.5,
     l2_hit_ns=18.0,
     c2c_ns=25.0,
-    upgrade_ns=12.0,
-    dram_ns=70.0,
 )
 
 

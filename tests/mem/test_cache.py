@@ -56,6 +56,25 @@ def test_refill_existing_line_no_eviction():
     assert cache.lookup(0) is State.MODIFIED
 
 
+def test_fill_invalid_rejected():
+    """An INVALID fill would take a way of the set: it is refused."""
+    cache = make_cache(size=256, assoc=2, line=64)  # 0/128/256 share set 0
+    cache.fill(0, State.EXCLUSIVE)
+    with pytest.raises(ValueError, match="INVALID"):
+        cache.fill(128, State.INVALID)
+    assert cache.lines_valid == 1
+    assert cache.contents() == {0: State.EXCLUSIVE}
+    # The refused fill took no way, so line 0 is not evicted early.
+    assert cache.fill(256, State.EXCLUSIVE) is None
+    assert cache.lookup(0) is State.EXCLUSIVE
+
+
+def test_set_index_maps_lines_to_sets():
+    cache = make_cache(size=256, assoc=2, line=64)  # 2 sets
+    assert [cache.set_index(line) for line in (0, 64, 128, 192)] == \
+        [0, 1, 0, 1]
+
+
 def test_set_state_and_invalidate():
     cache = make_cache()
     cache.fill(0, State.SHARED)

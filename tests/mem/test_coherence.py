@@ -154,6 +154,41 @@ def test_l2_bandwidth_queues():
     assert second.stall_ns > first.stall_ns + 500
 
 
+def test_back_invalidation_counts_every_l1_copy():
+    """An L2 inclusion eviction counts each valid L1 copy it removes,
+    clean or dirty; only dirty data is written back."""
+    l1s = [Cache(f"l1.{i}", 1024, 2, 64) for i in range(2)]
+    l2 = Cache("l2", 128, 2, 64)  # one set of two lines
+    dom = CoherenceDomain(l1s, l2, DRAM(), MemLatencies(), prefetch=False)
+    dom.access(0, 0, 4, False, 0.0)
+    dom.access(1, 0, 4, False, 0.0)    # line 0 Shared in both L1s
+    dom.access(0, 64, 4, True, 0.0)    # line 64 Modified in l1.0
+    dom.access(0, 128, 4, False, 0.0)  # L2 evicts line 0
+    assert l1s[0].lookup(0) is State.INVALID
+    assert l1s[1].lookup(0) is State.INVALID
+    assert dom.stats.back_invalidations == 2
+    assert dom.stats.l2_writebacks == 0
+    dom.access(1, 192, 4, False, 0.0)  # L2 evicts line 64
+    assert l1s[0].lookup(64) is State.INVALID
+    assert dom.stats.back_invalidations == 3
+    assert dom.stats.l2_writebacks == 1
+    assert dom.check_inclusion()
+
+
+def test_l1s_must_share_geometry():
+    l2 = Cache("l2", 64 * 1024, 8, 64)
+    # Same set count with different associativity is allowed.
+    CoherenceDomain([Cache("l1.0", 1024, 2, 64), Cache("l1.1", 2048, 4, 64)],
+                    l2, DRAM())
+    with pytest.raises(ValueError, match="'l1.1'"):
+        CoherenceDomain([Cache("l1.0", 1024, 2, 64),
+                         Cache("l1.1", 2048, 2, 64)], l2, DRAM())
+    with pytest.raises(ValueError, match="'l1.2'"):
+        CoherenceDomain([Cache("l1.0", 1024, 2, 64),
+                         Cache("l1.1", 1024, 2, 64),
+                         Cache("l1.2", 1024, 1, 128)], l2, DRAM())
+
+
 def test_inclusion_invariant_random_traffic():
     dom = make_domain(num_l1=4, prefetch=True, l1_size=512)
     import random
