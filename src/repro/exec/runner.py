@@ -618,13 +618,20 @@ class JobRunner:
                     kill = (self.chaos is not None
                             and self.chaos.kill_worker(
                                 digest, submissions[digest]))
-                    submissions[digest] += 1
                     timeout = (policy.timeout_for(self.timeout,
                                                   attempts[digest])
                                if policy is not None else self.timeout)
-                    futures[pool.submit(
-                        _worker, spec, timeout, submitted_at,
-                        self._profile_path(spec), kill)] = spec
+                    try:
+                        future = pool.submit(
+                            _worker, spec, timeout, submitted_at,
+                            self._profile_path(spec), kill)
+                    except BrokenProcessPool:
+                        # A worker died before the round was fully
+                        # submitted: the rest wait for the next pool.
+                        broken = True
+                        break
+                    submissions[digest] += 1
+                    futures[future] = spec
                 remaining = len(futures)
                 for future in as_completed(futures):
                     spec = futures[future]

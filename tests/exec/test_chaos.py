@@ -165,6 +165,31 @@ def test_kill_only_chaos_retries_on_rebuilt_pools(tmp_path, reference):
     assert runner.stats.failed == 0
 
 
+def test_pool_broken_during_submission_resubmits(reference, monkeypatch):
+    # A killed worker can break the pool while the round is still being
+    # submitted, so submit itself raises; the unsubmitted jobs must
+    # move to the next round's pool instead of failing the batch.
+    import repro.exec.runner as runner_mod
+    from concurrent.futures.process import BrokenProcessPool
+
+    submits = []
+
+    class BreaksOnThirdSubmit(runner_mod.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(args)
+            if len(submits) == 3:
+                raise BrokenProcessPool("worker died mid-submission")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
+                        BreaksOnThirdSubmit)
+    runner = JobRunner(jobs=2, retry=_quiet_policy())
+    records = runner.run_checked(_specs()[:6])
+    assert [r.digest for r in records] == reference[:6]
+    assert runner.stats.pool_restarts == 1
+    assert len(submits) == 3 + 4   # 2 ran, 1 refused, 4 resubmitted
+
+
 def test_pool_loss_degrades_to_serial_and_completes(reference):
     # Kill every submission: the pool can never finish a job, so the
     # runner must exhaust its restart budget and degrade to serial.
