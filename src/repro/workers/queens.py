@@ -43,32 +43,69 @@ ACCEL_COSTS = QueensCosts(row_check=2, serial_per_node=2, sum_fixed=1)
 CPU_COSTS = QueensCosts(row_check=22, serial_per_node=16, sum_fixed=8)
 
 
+#: Number of N-queens solutions for n = 1..16 (OEIS A000170): the
+#: benchmark's oracle, independent of the solver under test.
+QUEENS_SOLUTIONS = {
+    1: 1, 2: 0, 3: 0, 4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352, 10: 724,
+    11: 2680, 12: 14200, 13: 73712, 14: 365596, 15: 2279184, 16: 14772512,
+}
+
+
+def _attack_masks(n: int, placed: Tuple[int, ...]) -> Tuple[int, int, int]:
+    """Column, left-diagonal and right-diagonal bitmasks of the squares
+    the queens of ``placed`` attack in row ``len(placed)``."""
+    full = (1 << n) - 1
+    cols = left = right = 0
+    for col in placed:
+        bit = 1 << col
+        cols |= bit
+        left = ((left | bit) << 1) & full
+        right = (right | bit) >> 1
+    return cols, left, right
+
+
 def valid_columns(n: int, placed: Tuple[int, ...]) -> List[int]:
-    """Columns where a queen can go in row ``len(placed)``."""
-    row = len(placed)
+    """Columns where a queen can go in row ``len(placed)``, ascending."""
+    cols, left, right = _attack_masks(n, placed)
+    free = ((1 << n) - 1) & ~(cols | left | right)
     out = []
-    for col in range(n):
-        ok = True
-        for prev_row, prev_col in enumerate(placed):
-            if prev_col == col or abs(prev_col - col) == row - prev_row:
-                ok = False
-                break
-        if ok:
-            out.append(col)
+    while free:
+        bit = free & -free
+        free ^= bit
+        out.append(bit.bit_length() - 1)
     return out
 
 
-def count_serial(n: int, placed: Tuple[int, ...]) -> Tuple[int, int]:
-    """Count solutions under ``placed``; returns (solutions, nodes)."""
-    row = len(placed)
-    if row == n:
-        return 1, 1
+def _count(full: int, cols: int, left: int, right: int,
+           rows: int) -> Tuple[int, int]:
+    """(solutions, nodes) of the subtree with ``rows`` (>= 1) rows left."""
+    free = full & ~(cols | left | right)
+    if rows == 1:
+        # Every free square of the last row is a one-node solution.
+        leaves = bin(free).count("1")
+        return leaves, leaves + 1
     solutions, nodes = 0, 1
-    for col in valid_columns(n, placed):
-        s, t = count_serial(n, placed + (col,))
+    rows -= 1
+    while free:
+        bit = free & -free
+        free ^= bit
+        s, t = _count(full, cols | bit, ((left | bit) << 1) & full,
+                      (right | bit) >> 1, rows)
         solutions += s
         nodes += t
     return solutions, nodes
+
+
+def count_serial(n: int, placed: Tuple[int, ...]) -> Tuple[int, int]:
+    """Count solutions under ``placed``; returns (solutions, nodes).
+
+    ``nodes`` counts every placement explored, ``placed`` itself, dead
+    ends and complete boards included (the serial solver's cost).
+    """
+    rows = n - len(placed)
+    if rows == 0:
+        return 1, 1
+    return _count((1 << n) - 1, *_attack_masks(n, placed), rows)
 
 
 class QueensWorker(Worker):
@@ -171,11 +208,17 @@ class QueensBenchmark(Benchmark):
 
     def __init__(self, n: int = 10, serial_depth: int = 6) -> None:
         super().__init__()
+        if n not in QUEENS_SOLUTIONS:
+            raise ValueError(
+                f"n={n} outside the known solution counts "
+                f"(1..{max(QUEENS_SOLUTIONS)})")
+        if serial_depth < 0:
+            raise ValueError(f"serial_depth={serial_depth} must be >= 0")
         if serial_depth >= n:
             raise ValueError("serial_depth must leave rows to fork over")
         self.n = n
         self.serial_depth = serial_depth
-        self._expected, _ = count_serial(n, ())
+        self._expected = QUEENS_SOLUTIONS[n]
 
     def flex_worker(self, platform: str = ACCEL) -> Worker:
         costs = ACCEL_COSTS if platform == ACCEL else CPU_COSTS

@@ -10,14 +10,73 @@ from repro.workers.knapsack import (
     knapsack_optimum,
     solve_serial,
 )
-from repro.workers.queens import QueensBenchmark, count_serial, valid_columns
+from repro.workers import queens
+from repro.workers.queens import (
+    QUEENS_SOLUTIONS,
+    QueensBenchmark,
+    count_serial,
+    valid_columns,
+)
 from repro.workers.uts import UtsBenchmark, UtsTree, child_id, splitmix64
 
 #: Known N-queens solution counts.
 QUEENS_COUNTS = {4: 2, 5: 10, 6: 4, 7: 40, 8: 92, 9: 352, 10: 724}
 
 
+def naive_valid_columns(n, placed):
+    """Straightforward per-candidate reference for ``valid_columns``."""
+    row = len(placed)
+    out = []
+    for col in range(n):
+        ok = True
+        for prev_row, prev_col in enumerate(placed):
+            if prev_col == col or abs(prev_col - col) == row - prev_row:
+                ok = False
+                break
+        if ok:
+            out.append(col)
+    return out
+
+
+def naive_search(n, placed, results):
+    """Reference ``count_serial`` by loops; records the (solutions,
+    nodes) of every valid partial placement under ``placed``."""
+    if len(placed) == n:
+        result = (1, 1)
+    else:
+        solutions, nodes = 0, 1
+        for col in naive_valid_columns(n, placed):
+            s, t = naive_search(n, placed + (col,), results)
+            solutions += s
+            nodes += t
+        result = (solutions, nodes)
+    results[placed] = result
+    return result
+
+
 class TestQueens:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kernel_matches_naive_on_every_partial_placement(self, n):
+        results = {}
+        naive_search(n, (), results)
+        for placed, expected in results.items():
+            assert count_serial(n, placed) == expected, placed
+            assert valid_columns(n, placed) == \
+                naive_valid_columns(n, placed), placed
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_solution_table_matches_solver(self, n):
+        assert QUEENS_SOLUTIONS[n] == count_serial(n, ())[0]
+
+    def test_construction_solves_no_board(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("the oracle must not run the kernel")
+
+        monkeypatch.setattr(queens, "count_serial", solve)
+        monkeypatch.setattr(queens, "valid_columns", solve)
+        bench = QueensBenchmark(n=10, serial_depth=6)
+        assert bench.expected() == 724
+
     @pytest.mark.parametrize("n,expected", sorted(QUEENS_COUNTS.items()))
     def test_serial_counts(self, n, expected):
         assert count_serial(n, ())[0] == expected
