@@ -58,18 +58,31 @@ CPU_COSTS = NwCosts(cell_per_4=28, block_fixed=80)
 
 def fill_block(h: np.ndarray, seq1: np.ndarray, seq2: np.ndarray,
                r0: int, c0: int, size: int) -> None:
-    """Fill DP cells ``h[r0:r0+size, c0:c0+size]`` (1-based score rows)."""
-    for i in range(r0, r0 + size):
-        a = seq1[i - 1]
-        row = h[i]
-        above = h[i - 1]
-        for j in range(c0, c0 + size):
-            score = MATCH if a == seq2[j - 1] else MISMATCH
-            row[j] = max(
-                above[j - 1] + score,
-                above[j] - GAP,
-                row[j - 1] - GAP,
-            )
+    """Fill DP cells ``h[r0:r0+size, c0:c0+size]`` (1-based score rows).
+
+    Each row is computed on plain ints from the row above (northwest
+    corner plus north halo) and its west halo cell, then written back
+    with one slice assignment.
+    """
+    c1 = c0 + size
+    top = seq2[c0 - 1:c1 - 1].tolist()
+    west = h[r0:r0 + size, c0 - 1].tolist()
+    above = h[r0 - 1, c0 - 1:c1].tolist()
+    for i, a in enumerate(seq1[r0 - 1:r0 - 1 + size].tolist()):
+        left = west[i]
+        row = [left]
+        diag = above[0]
+        for b, up in zip(top, above[1:]):
+            cell = diag + (MATCH if a == b else MISMATCH)
+            if up - GAP > cell:
+                cell = up - GAP
+            if left - GAP > cell:
+                cell = left - GAP
+            row.append(cell)
+            left = cell
+            diag = up
+        h[r0 + i, c0:c1] = row[1:]
+        above = row
 
 
 class NwWorker(Worker):
@@ -185,6 +198,8 @@ class NwBenchmark(Benchmark):
 
     def __init__(self, n: int = 512, block: int = 8, seed: int = 4) -> None:
         super().__init__()
+        if block < 1:
+            raise ValueError(f"block={block} must be >= 1")
         if n % block:
             raise ValueError(f"sequence length {n} not divisible by {block}")
         self.n = n
@@ -206,15 +221,28 @@ class NwBenchmark(Benchmark):
         self._expected = self._reference()
 
     def _reference(self) -> int:
-        h = self.h.copy()
-        fill_block_full = fill_block
-        for bi in range(self.nb):
-            for bj in range(self.nb):
-                fill_block_full(h, self.seq1, self.seq2,
-                                bi * self.block + 1, bj * self.block + 1,
-                                self.block)
-        self._h_expected = h
-        return int(h[self.n, self.n])
+        """Score matrix by rows, independent of the blocked kernel.
+
+        Within a row, the west dependency ``h[i, j] = max(t[j],
+        h[i, j-1] - GAP)`` unrolls to ``max_k (t[k] + GAP*k) - GAP*j``: a
+        max-plus prefix scan over ``t``, the best of the northwest and
+        north moves (``t[0]`` is the border cell).
+        """
+        n = self.n
+        ramp = GAP * np.arange(n + 1, dtype=np.int64)
+        h = self.h.astype(np.int64)
+        score = np.where(self.seq1[:, None] == self.seq2[None, :],
+                         MATCH, MISMATCH)
+        t = np.empty(n + 1, dtype=np.int64)
+        for i in range(1, n + 1):
+            above = h[i - 1]
+            t[0] = h[i, 0]
+            np.maximum(above[:-1] + score[i - 1], above[1:] - GAP, out=t[1:])
+            t += ramp
+            np.maximum.accumulate(t, out=h[i])
+            h[i] -= ramp
+        self._h_expected = h.astype(np.int32)
+        return int(h[n, n])
 
     def flex_worker(self, platform: str = ACCEL) -> Worker:
         costs = ACCEL_COSTS if platform == ACCEL else CPU_COSTS

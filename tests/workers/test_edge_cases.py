@@ -118,3 +118,36 @@ def test_queens_trivial_boards():
         bench = QueensBenchmark(n=n, serial_depth=1)
         result = verify_serial(bench)
         assert result.value == 0
+
+
+@pytest.mark.parametrize("n", [0, -3, 17])
+def test_queens_board_outside_solution_table_rejected(n):
+    from repro.workers.queens import QueensBenchmark
+
+    with pytest.raises(ValueError, match=r"\bn="):
+        QueensBenchmark(n=n, serial_depth=0)
+
+
+def test_queens_negative_serial_depth_rejected():
+    from repro.workers.queens import QueensBenchmark
+
+    # A negative cutoff would send a complete board down the fork path.
+    with pytest.raises(ValueError, match="serial_depth"):
+        QueensBenchmark(n=6, serial_depth=-1)
+
+
+def test_queens_zero_serial_depth_forks_to_complete_boards():
+    from repro.workers.queens import QueensBenchmark
+
+    result = verify_serial(QueensBenchmark(n=6, serial_depth=0))
+    assert result.value == 4
+
+
+@pytest.mark.parametrize("block", [0, -8])
+def test_nw_nonpositive_block_rejected(block):
+    with pytest.raises(ValueError, match="block"):
+        make_benchmark("nw", n=16, block=block)
+
+
+def test_nw_single_cell_blocks():
+    verify_serial(make_benchmark("nw", n=4, block=1))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.executor import ReferenceScheduler, SerialExecutor
+from repro.workers import nw
 from repro.workers.nw import GAP, MATCH, MISMATCH, NwBenchmark, fill_block
 
 
@@ -35,6 +36,24 @@ def test_fill_block_matches_cellwise_reference():
         for bj in range(2):
             fill_block(h, seq1, seq2, bi * 8 + 1, bj * 8 + 1, 8)
     assert np.array_equal(h, expected.astype(np.int32))
+
+
+@pytest.mark.parametrize("block", [4, 8, 16, 32])
+def test_reference_matrix_matches_cellwise_reference(block):
+    for seed in range(3):
+        bench = NwBenchmark(n=64, block=block, seed=seed)
+        reference = serial_nw(bench.seq1, bench.seq2)
+        assert bench._h_expected.dtype == np.int32
+        assert np.array_equal(bench._h_expected, reference)
+        assert bench.expected() == reference[64, 64]
+
+
+def test_construction_runs_no_kernel(monkeypatch):
+    def fill(*args):
+        raise AssertionError("the oracle must not run the kernel")
+
+    monkeypatch.setattr(nw, "fill_block", fill)
+    NwBenchmark(n=32, block=8)
 
 
 @settings(max_examples=10, deadline=None)
