@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.executor import ReferenceScheduler, SerialExecutor
+from repro.workers import stencil2d
 from repro.workers.bbgemm import BbgemmBenchmark
 from repro.workers.bfsqueue import BfsBenchmark, make_graph, reference_bfs
 from repro.workers.spmvcrs import SpmvBenchmark
@@ -115,6 +116,23 @@ class TestStencil:
             for dr in range(3) for dc in range(3)
         )
         assert bench.dst[r, c] == expected
+
+    @pytest.mark.parametrize("h,w", [(3, 3), (5, 17), (40, 24)])
+    def test_oracle_matches_pixelwise_definition(self, h, w, monkeypatch):
+        def rows(*args):
+            raise AssertionError("the oracle must not run the kernel")
+
+        monkeypatch.setattr(stencil2d, "apply_stencil_rows", rows)
+        bench = StencilBenchmark(height=h, width=w, seed=h + w)
+        expected = np.zeros((h, w), dtype=np.int64)
+        for r in range(1, h - 1):
+            for c in range(1, w - 1):
+                expected[r, c] = sum(
+                    int(KERNEL[dr, dc]) * int(bench.src[r - 1 + dr,
+                                                        c - 1 + dc])
+                    for dr in range(3) for dc in range(3))
+        assert bench._expected.dtype == np.int32
+        assert np.array_equal(bench._expected, expected)
 
     def test_borders_untouched(self):
         bench = StencilBenchmark(height=16, width=16)
