@@ -76,7 +76,7 @@ class BaseAccelerator:
     def __init__(self, config: AcceleratorConfig, worker: Worker) -> None:
         self.config = config
         self.worker = worker
-        self.engine = make_engine(config.backend)
+        self.engine = make_engine()
         self.net = CrossbarNetwork(config)
         self.interface = InterfaceBlock()
         self.memory = self._build_memory()

@@ -51,12 +51,6 @@ class AcceleratorConfig:
     # tests can compare the two executions and to debug the scheduler.
     park_idle_pes: bool = True
 
-    # Simulation-kernel backend (docs/KERNEL.md): "reference" is the
-    # generator-heap engine, "fast" the slot-record direct-dispatch one;
-    # both are bit-exact, so this has no timing effect either.  "auto"
-    # defers to $REPRO_BACKEND, defaulting to "reference".
-    backend: str = "auto"
-
     # Resilience knobs (docs/RESILIENCE.md).  Defaults reproduce the
     # fail-fast behaviour: exhaustion raises, lost messages hang until the
     # cycle budget (or the watchdog, when enabled) declares deadlock.
@@ -160,13 +154,6 @@ class AcceleratorConfig:
             raise ConfigError(f"unknown local order {self.local_order!r}")
         if self.steal_end not in ("head", "tail"):
             raise ConfigError(f"unknown steal end {self.steal_end!r}")
-        from repro.kernel import BACKEND_CHOICES
-
-        if self.backend not in BACKEND_CHOICES:
-            raise ConfigError(
-                f"unknown kernel backend {self.backend!r} "
-                f"(choose from {', '.join(BACKEND_CHOICES)})"
-            )
 
     @property
     def num_pes(self) -> int:

@@ -256,8 +256,6 @@ def _run_one(args, *, telemetry: bool):
         kwargs["watchdog_interval"] = args.watchdog
     if args.steal_policy is not None:
         kwargs["steal_policy"] = args.steal_policy
-    if args.backend is not None:
-        kwargs["backend"] = args.backend
     if args.arrivals is not None:
         from repro.core.exceptions import ConfigError
         from repro.workload import DEFAULT_ARRIVAL_SEED
@@ -549,11 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=POLICY_NAMES,
                        help="work-stealing scheduling policy "
                        "(default: random, the paper's protocol)")
-        p.add_argument("--backend", default=None,
-                       choices=("auto", "reference", "fast"),
-                       help="simulation-kernel backend (docs/KERNEL.md); "
-                       "bit-exact either way.  auto defers to "
-                       "$REPRO_BACKEND, then reference")
         p.add_argument("--arrivals", default=None, metavar="RATE:N[:SEED]",
                        help="run an open-system stochastic arrival "
                        "stream instead of one closed root: RATE jobs "

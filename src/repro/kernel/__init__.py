@@ -1,33 +1,15 @@
-"""Simulation-kernel boundary: interface, backends, and selection.
+"""Simulation-kernel boundary: the interface and its one engine.
 
 The kernel is the one layer allowed to know how events are represented
 and dispatched.  Everything above it (``arch``, ``sched``, ``obs``,
 ``resil``, ``exec``, the CLI) programs against
 :class:`~repro.kernel.interface.SimKernel` and obtains an engine via
-:func:`make_engine`.
-
-Backend selection resolves in this order:
-
-1. an explicit name (``AcceleratorConfig.backend`` or
-   ``repro run --backend``) other than ``"auto"``;
-2. the ``REPRO_BACKEND`` environment variable, when the name is
-   ``"auto"`` (the config default) — this is the fleet-wide switch CI
-   uses for the fast-backend tier-1 job, and it does not perturb
-   job-spec digests the way an explicit config override does;
-3. the ``reference`` backend.
-
-Every backend is bound by the bit-exactness contract in
-``docs/KERNEL.md``: identical cycle counts, steal digests, statistics,
-and traces on every workload, enforced by the backend-parametrized
-golden suites.
+:func:`make_engine`, which always builds :class:`FastEngine`.  Tests
+substitute their own oracle engine for it; see ``docs/KERNEL.md``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-from repro.core.exceptions import ConfigError
 from repro.kernel.fast import FastChannel, FastEngine
 from repro.kernel.interface import (
     ChannelBase,
@@ -40,46 +22,28 @@ from repro.kernel.interface import (
     Timeout,
     validated_delay,
 )
-from repro.kernel.reference import ReferenceChannel, ReferenceEngine
 
-#: Environment variable consulted when the configured backend is "auto".
-BACKEND_ENV = "REPRO_BACKEND"
-
-BACKENDS = {
-    "reference": ReferenceEngine,
-    "fast": FastEngine,
-}
-
-#: Concrete backend names, in documentation order.
-BACKEND_NAMES = ("reference", "fast")
-
-#: Names accepted by config/CLI validation.
-BACKEND_CHOICES = ("auto",) + BACKEND_NAMES
+#: Read by perfbench (``perfbench/measure.py``), which hangs its
+#: ``kernel_arch`` span on the engine class's ``run``.
+BACKENDS = {"fast": FastEngine}
 
 
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend name (or ``None``/"auto") to a concrete one."""
-    if name is None or name == "auto":
-        name = os.environ.get(BACKEND_ENV, "") or "reference"
-    if name not in BACKENDS:
-        raise ConfigError(
-            f"unknown kernel backend {name!r}: choose from "
-            f"{', '.join(BACKEND_CHOICES)} "
-            f"(${BACKEND_ENV} sets the 'auto' default)"
-        )
-    return name
+def resolve_backend(name=None) -> str:
+    """Name of the engine :func:`make_engine` builds; ``name`` is ignored.
+
+    Read by perfbench (``perfbench/measure.py``), which prints it with
+    every result and looks the engine class up in :data:`BACKENDS`.
+    """
+    return "fast"
 
 
-def make_engine(backend: Optional[str] = None) -> SimKernel:
-    """Build a kernel engine for ``backend`` (default: resolve "auto")."""
-    return BACKENDS[resolve_backend(backend)]()
+def make_engine() -> SimKernel:
+    """Build the simulation kernel."""
+    return FastEngine()
 
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_CHOICES",
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
     "ChannelBase",
     "Event",
     "FastChannel",
@@ -87,8 +51,6 @@ __all__ = [
     "Get",
     "Park",
     "Process",
-    "ReferenceChannel",
-    "ReferenceEngine",
     "SimKernel",
     "SimulationError",
     "Timeout",

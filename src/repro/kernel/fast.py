@@ -1,8 +1,11 @@
-"""The fast kernel backend: slot records, direct dispatch, tick buckets.
+"""The simulation kernel: slot records, direct dispatch, tick buckets.
 
-Same simulation semantics as :mod:`repro.kernel.reference` — pinned
-bit-exact by the golden suites — with the per-event constant factor
-attacked four ways:
+Events are ordered by the key ``(time, scheduled_at,
+parent_scheduled_at, seq)`` (see :mod:`repro.kernel.interface`).  The
+obvious implementation is one heap entry and one closure per event;
+the test suite keeps it as a reference engine, and the golden suites
+and trace pins hold this one to its results bit for bit.  This engine
+attacks the per-event constant factor four ways:
 
 * **Slot-based event records.**  Events are plain tuples
   ``(s_at, p_s_at, seq, code, a, b)`` where ``code`` selects the action
@@ -24,7 +27,7 @@ attacked four ways:
   a :meth:`resume_at` with past virtual ancestry, or a normal schedule
   landing behind such an insert — pays a ``bisect.insort``.  An insert
   into the bucket currently being drained is clamped to land after the
-  cursor, which is exactly where the reference heap would pop it.
+  cursor, which is exactly where a single event heap would pop it.
 
 * **Direct dispatch.**  The run loop switches on the integer ``code``
   and on ``request.__class__ is Timeout`` instead of walking an
@@ -42,8 +45,7 @@ attacked four ways:
   check is re-evaluated after every step because the generator body
   may create new events or wake parked processes mid-send, and it is
   suppressed when the resumption would cross a ``run(until=...)``
-  horizon so bounded runs stay resumable exactly like the reference
-  backend.
+  horizon so bounded runs stop and resume exactly at each horizon.
 
 Run-ahead skips allocating ``seq`` numbers for the elided round-trips.
 That is safe: sequence numbers are not observable — only the relative
@@ -76,7 +78,7 @@ _DELIVER = 2  # land item b on channel a
 
 
 class FastChannel(ChannelBase):
-    """Channel delivering through a slot record (fast backend)."""
+    """Channel delivering through a slot record."""
 
     __slots__ = ()
 
@@ -92,7 +94,6 @@ class FastChannel(ChannelBase):
 class FastEngine(SimKernel):
     """Discrete-event kernel with slot records and tick buckets."""
 
-    backend_name = "fast"
     channel_type = FastChannel
 
     def __init__(self) -> None:

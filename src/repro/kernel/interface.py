@@ -3,18 +3,16 @@
 Everything above this layer — ``arch`` (PEs, networks, pstores, the
 wakeup scheduler), ``sched`` policies, ``obs`` telemetry, ``resil``
 fault injection, the execution harness — talks to the simulator through
-the interface defined here and nothing else.  A kernel backend
-(``repro.kernel.reference``, ``repro.kernel.fast``, or a future
-compiled one) implements :class:`SimKernel` and is required to be
-**bit-exact**: identical cycle counts, steal digests, statistics, and
-traces on every workload (see ``docs/KERNEL.md`` and the golden suites
-under ``tests/sched`` and ``tests/arch``).
+the interface defined here and nothing else.  The simulator's engine,
+:class:`repro.kernel.fast.FastEngine`, implements :class:`SimKernel`;
+so does the test suite's reference engine, which tests substitute for
+it to compare every observable of a run (see ``docs/KERNEL.md``).
 
 The five hot operations
 -----------------------
 
 1. **Event scheduling and ordering.**  :meth:`SimKernel.schedule` runs a
-   callback ``delay`` ticks from now; heap entries are ordered by the
+   callback ``delay`` ticks from now; events are ordered by the
    composite key ``(time, scheduled_at, parent_scheduled_at, seq)``.
    The two ancestry fields are redundant for normally scheduled events
    (``seq`` alone sorts them) but are load-bearing for
@@ -28,7 +26,7 @@ The five hot operations
    on the yielded request — :class:`Timeout`, :class:`Get`,
    :class:`Event`, :class:`Park`, or another :class:`Process` (join).
 
-3. **Channel get/put.**  :meth:`SimKernel.channel` builds the backend's
+3. **Channel get/put.**  :meth:`SimKernel.channel` builds the engine's
    latency/bandwidth channel; processes block on it via :class:`Get`.
 
 4. **Park/wakeup.**  A process yields :class:`Park` to suspend holding
@@ -37,7 +35,7 @@ The five hot operations
    derived from :attr:`SimKernel.current_key`.
 
 5. **The LFSR draw.**  :meth:`SimKernel.lfsr` hands out the victim-
-   selection PRNG so a compiled backend can inline it next to the
+   selection PRNG so a compiled kernel can inline it next to the
    event loop.  (Fault-injection LFSRs stay outside the kernel on
    purpose — they must be isolated from scheduling randomness.)
 
@@ -139,7 +137,7 @@ class Park:
     """Request to suspend the process until an external wakeup.
 
     Unlike :class:`Timeout` or :class:`Event`, a parked process holds no
-    kernel resources at all — no heap entry, no waiter list.  The issuer
+    kernel resources at all — no pending event, no waiter list.  The issuer
     (e.g. the accelerator's park registry) is responsible for keeping a
     reference to the :class:`Process` and resuming it with
     :meth:`SimKernel.resume_at` when the condition it sleeps on changes.
@@ -155,7 +153,7 @@ class Process:
     """A running generator process managed by the kernel.
 
     ``send`` is the generator's bound ``send`` method, cached at
-    creation so backends can step the process without an attribute
+    creation so the kernel can step the process without an attribute
     chain per event.
     """
 
@@ -196,7 +194,7 @@ class ChannelBase:
     ``put`` makes an item visible to getters after the channel's
     latency, and an optional bandwidth limit serialises deliveries so
     that at most one item lands per ``interval`` ticks (used for shared
-    links such as the Zedboard ACP port).  Backends implement
+    links such as the Zedboard ACP port).  Engines implement
     :meth:`_schedule_delivery`; everything else is shared.
 
     Parameters
@@ -280,25 +278,18 @@ _PRE_RUN = -1
 class SimKernel:
     """Abstract discrete-event kernel with an integer tick clock.
 
-    Backends implement :meth:`schedule`, :meth:`resume_at`,
-    :meth:`process`, :meth:`run`, and :meth:`_schedule_resume`; the
-    shared state (clock, heap, sequence counter, telemetry hook,
-    current-event ancestry) and the factory/introspection surface live
-    here.  The bit-exactness contract binding every backend is spelled
-    out in the module docstring and ``docs/KERNEL.md``.
+    Engines implement :meth:`schedule`, :meth:`resume_at`,
+    :meth:`process`, :meth:`run`, :meth:`_schedule_resume`,
+    :attr:`pending_events` and :attr:`finished`; the shared state
+    (clock, sequence counter, telemetry hook, current-event ancestry)
+    and the factory/introspection surface live here.
     """
 
-    #: Registry name of the backend ("reference", "fast", ...).
-    backend_name = "abstract"
-    #: Channel class the :meth:`channel` factory builds; set by backends.
+    #: Channel class the :meth:`channel` factory builds; set by engines.
     channel_type: Any = None
 
     def __init__(self) -> None:
         self.now: int = 0
-        # Entries: (time, scheduled_at, parent_scheduled_at, seq, ...)
-        # where the tail is backend-specific (a callback for the
-        # reference backend, a type-code record for the fast one).
-        self._heap: List[Tuple] = []
         self._seq = 0
         self._live_processes = 0
         # Optional telemetry sink (repro.obs); record-only, so attaching
@@ -313,7 +304,7 @@ class SimKernel:
         self.last_event_time: int = 0
 
     # ------------------------------------------------------------------
-    # Scheduling primitives (backend-implemented)
+    # Scheduling primitives (engine-implemented)
     # ------------------------------------------------------------------
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` ``delay`` ticks from now."""
@@ -342,14 +333,14 @@ class SimKernel:
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
-        """Run until the event heap drains (or ``until`` / ``max_events``).
+        """Run until no event is pending (or ``until`` / ``max_events``).
 
         Returns the final simulation time.  ``until`` is an absolute tick
         bound; ``max_events`` guards against runaway simulations.  A
         bounded run always ends with ``now == until`` (whether it stopped
-        early or drained the heap); :attr:`last_event_time` records the
+        early or ran out of events); :attr:`last_event_time` records the
         tick of the last event actually executed.  Remaining events stay
-        on the heap (visible via :attr:`pending_events`); calling
+        pending (visible via :attr:`pending_events`); calling
         :meth:`run` again resumes where the previous call stopped.
         """
         raise NotImplementedError
@@ -373,13 +364,13 @@ class SimKernel:
         return Event(self, name)
 
     def channel(self, latency: int = 0, interval: int = 0, name: str = ""):
-        """Create this backend's latency/bandwidth channel."""
+        """Create this engine's latency/bandwidth channel."""
         return self.channel_type(self, latency, interval, name)
 
     def lfsr(self, seed: int) -> LFSR16:
         """Create the victim-selection PRNG used by steal policies.
 
-        Owned by the kernel so a compiled backend can substitute an
+        Owned by the kernel so a compiled engine can substitute an
         inlined implementation; the bit stream must match
         :class:`repro.core.lfsr.LFSR16` exactly.
         """
@@ -402,13 +393,14 @@ class SimKernel:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still on the heap (parked processes hold none)."""
-        return len(self._heap)
+        """Number of scheduled events not yet executed (parked processes
+        hold none).  Inside an event, the executing one is not counted."""
+        raise NotImplementedError
 
     @property
     def finished(self) -> bool:
-        """True when the event heap has fully drained."""
-        return not self._heap
+        """True when no event is pending."""
+        raise NotImplementedError
 
     @property
     def live_processes(self) -> int:

@@ -16,7 +16,7 @@ stochastic sources draw from a dedicated :class:`~repro.core.lfsr.LFSR16`
 stream that is isolated from the per-PE scheduling LFSRs and from the
 fault-plan stream.  Arrivals are therefore computed *before* the engine
 starts, which is what makes open-system runs bit-identical across
-kernel backends, park modes, and serial-vs-parallel runners.
+park modes and serial-vs-parallel runners.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import pytest
 
 from repro.harness.runners import run_cpu, run_flex, run_lite
 from repro.sched import POLICY_NAMES
+from tests.kernel.reference import KERNELS, use_kernel
 
 
 def signature(result):
@@ -32,19 +33,20 @@ def signature(result):
     }
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name,params", [
     ("fib", {"n": 20}),
     ("quicksort", None),
     ("uts", None),
 ])
-def test_flex8_bit_exact_with_parking(name, params, backend):
+def test_flex8_bit_exact_with_parking(name, params, kernel, monkeypatch):
     # Parking exercises resume_at's virtual ancestry — the trickiest
-    # ordering path in either kernel backend, so pin it on both.
+    # ordering path of the kernel, so pin it on the reference engine too.
+    use_kernel(monkeypatch, kernel)
     polled = run_flex(name, 8, quick=True, params=params,
-                      park_idle_pes=False, backend=backend)
+                      park_idle_pes=False)
     parked = run_flex(name, 8, quick=True, params=params,
-                      park_idle_pes=True, backend=backend)
+                      park_idle_pes=True)
     assert signature(parked) == signature(polled)
     # The speedup is real, not semantic: events were actually elided.
     assert parked.counters["park.events_elided"] > 0

@@ -1,17 +1,19 @@
-"""The reference kernel backend: generator-heap engine with closures.
+"""The reference kernel: a generator-heap engine with closures.
 
-This is the original ``repro.sim.engine`` implementation moved behind
-the :class:`~repro.kernel.interface.SimKernel` boundary.  Heap entries
-carry a plain zero-argument callback; process resumptions are closures
-over ``(proc, value)``.  It is the readable, obviously-correct backend
-that the ``fast`` backend (and any future compiled one) is pinned
-against bit-for-bit.
+This is the simulator's original event loop, kept as a test oracle for
+:class:`repro.kernel.FastEngine`.  Heap entries are
+``(time, scheduled_at, parent_scheduled_at, seq, callback)`` with a
+plain zero-argument callback; process resumptions are closures over
+``(proc, value)``.  It implements the same
+:class:`~repro.kernel.interface.SimKernel` interface, so a test can
+substitute it for :func:`repro.kernel.make_engine` (:func:`use_kernel`)
+and compare every observable of a run against the product kernel.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.kernel.interface import (
     ChannelBase,
@@ -27,7 +29,7 @@ from repro.kernel.interface import (
 
 
 class ReferenceChannel(ChannelBase):
-    """Channel delivering through a scheduled closure (reference backend)."""
+    """Channel delivering through a scheduled closure."""
 
     __slots__ = ()
 
@@ -38,8 +40,11 @@ class ReferenceChannel(ChannelBase):
 class ReferenceEngine(SimKernel):
     """Discrete-event kernel driving processes through per-event closures."""
 
-    backend_name = "reference"
     channel_type = ReferenceChannel
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._heap: List[Tuple] = []
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -130,3 +135,25 @@ class ReferenceEngine(SimKernel):
         if until is not None and until > self.now:
             self.now = until
         return self.now
+
+    @property
+    def pending_events(self) -> int:
+        return len(self._heap)
+
+    @property
+    def finished(self) -> bool:
+        return not self._heap
+
+
+#: Kernel names the golden suites parametrize over: this oracle and the
+#: product kernel.
+KERNELS = ("reference", "fast")
+
+
+def use_kernel(monkeypatch, name: str) -> None:
+    """Build every accelerator of the calling test on kernel ``name``."""
+    if name == "reference":
+        monkeypatch.setattr("repro.arch.accelerator.make_engine",
+                            ReferenceEngine)
+    elif name != "fast":
+        raise ValueError(f"unknown kernel {name!r}")

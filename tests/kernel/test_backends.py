@@ -1,97 +1,61 @@
-"""Backend selection and full cross-backend equivalence.
+"""The product kernel against the reference engine, and its hooks.
 
-The kernel contract (docs/KERNEL.md) is that ``reference`` and ``fast``
-are *bit-identical* on every observable: cycles, per-PE statistics,
-counters, steal digests, and the complete telemetry event stream.  The
-golden suites pin each backend against recorded constants; this module
-pins the two backends against *each other* on the heaviest feature
-combinations (telemetry + parking + zero-rate fault plans) and on a
-seeded randomized kernel workload that hammers the ordering paths the
-fast backend optimises (tick buckets, run-ahead, same-tick inserts).
+The simulator runs one kernel, :class:`~repro.kernel.FastEngine`.  The
+golden suites and the trace pins (``test_trace_pins.py``) hold it to
+recorded constants; this module holds it to the test suite's reference
+engine (``tests/kernel/reference.py``), the obvious heap-and-closure
+event loop, on every observable: on the heaviest feature combinations
+(telemetry + parking + zero-rate fault plans) with the reference engine
+substituted for :func:`~repro.kernel.make_engine`, and on a seeded
+randomized kernel workload that hammers the ordering paths the fast
+engine optimises (tick buckets, run-ahead, same-tick inserts).
 """
 
 import pytest
 
 from repro.core.exceptions import ConfigError
+from repro.exec import make_spec
 from repro.harness.runners import run_flex
 from repro.kernel import (
-    BACKEND_CHOICES,
-    BACKEND_ENV,
+    BACKENDS,
     FastChannel,
     FastEngine,
     Get,
     Park,
-    ReferenceChannel,
-    ReferenceEngine,
     SimulationError,
     Timeout,
     make_engine,
     resolve_backend,
 )
 from repro.resil.faults import FaultSpec
+from tests.kernel.reference import ReferenceEngine, use_kernel
+
+#: The two engines every parity test runs, by name.
+ENGINES = {"reference": ReferenceEngine, "fast": make_engine}
 
 
 # ----------------------------------------------------------------------
-# Selection
+# The one kernel and its hooks
 # ----------------------------------------------------------------------
 
-def test_resolve_backend_defaults_to_reference(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend(None) == "reference"
-    assert resolve_backend("auto") == "reference"
+def test_make_engine_wires_backend_and_channel_type():
+    eng = make_engine()
+    assert type(eng) is FastEngine
+    assert type(eng.channel()) is FastChannel
 
 
-def test_resolve_backend_env_fills_auto_only(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "fast")
-    assert resolve_backend("auto") == "fast"
-    assert resolve_backend(None) == "fast"
-    # An explicit name always wins over the environment.
-    assert resolve_backend("reference") == "reference"
+def test_perfbench_kernel_hook():
+    # perfbench/measure.py hangs its kernel_arch span on this class's
+    # own run() and prints resolve_backend(None) with every result.
+    engine_class = BACKENDS[resolve_backend(None)]
+    assert engine_class is type(make_engine())
+    assert "run" in engine_class.__dict__
 
 
-def test_resolve_backend_rejects_unknown_names(monkeypatch):
-    with pytest.raises(ConfigError, match="backend"):
-        resolve_backend("bogus")
-    monkeypatch.setenv(BACKEND_ENV, "bogus")
-    with pytest.raises(ConfigError):
-        resolve_backend("auto")
-
-
-def test_make_engine_wires_backend_and_channel_type(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    ref = make_engine("reference")
-    fast = make_engine("fast")
-    assert type(ref) is ReferenceEngine and ref.backend_name == "reference"
-    assert type(fast) is FastEngine and fast.backend_name == "fast"
-    assert type(ref.channel()) is ReferenceChannel
-    assert type(fast.channel()) is FastChannel
-    assert type(make_engine()) is ReferenceEngine
-
-
-def test_config_validates_backend_choice():
-    from repro.arch.config import flex_config
-
-    with pytest.raises(ConfigError, match="backend"):
-        flex_config(4, backend="bogus")
-    for name in BACKEND_CHOICES:
-        flex_config(4, backend=name)
-
-
-def test_accelerator_engine_follows_config(monkeypatch):
-    from repro.arch.accelerator import FlexAccelerator
-    from repro.arch.config import flex_config
-    from repro.workers import make_benchmark
-
-    def build(**overrides):
-        bench = make_benchmark("fib", n=5)
-        return FlexAccelerator(flex_config(4, **overrides),
-                               bench.flex_worker("flex"))
-
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert type(build().engine) is ReferenceEngine
-    assert type(build(backend="fast").engine) is FastEngine
-    monkeypatch.setenv(BACKEND_ENV, "fast")
-    assert type(build().engine) is FastEngine
+def test_spec_rejects_backend_override():
+    with pytest.raises(ConfigError, match="unknown AcceleratorConfig "
+                                          "override 'backend'"):
+        make_spec("fib", 4, quick=True, backend="fast")
 
 
 # ----------------------------------------------------------------------
@@ -121,9 +85,11 @@ def full_signature(result):
     ("quicksort", 4, dict(telemetry=True, park_idle_pes=False,
                           faults=FaultSpec())),
 ])
-def test_backends_identical_on_full_observables(name, pes, kwargs):
-    ref = run_flex(name, pes, quick=True, backend="reference", **kwargs)
-    fast = run_flex(name, pes, quick=True, backend="fast", **kwargs)
+def test_backends_identical_on_full_observables(name, pes, kwargs,
+                                                monkeypatch):
+    fast = run_flex(name, pes, quick=True, **kwargs)
+    use_kernel(monkeypatch, "reference")
+    ref = run_flex(name, pes, quick=True, **kwargs)
     assert full_signature(fast) == full_signature(ref)
 
 
@@ -134,10 +100,10 @@ def test_backends_identical_on_full_observables(name, pes, kwargs):
 def _random_workload(eng, trace, seed):
     """A seeded tangle of processes exercising every kernel primitive.
 
-    Uses the kernel's own LFSR so both backends draw the same stream.
+    Uses the kernel's own LFSR so both engines draw the same stream.
     Mixes plain timeouts (run-ahead candidates), channel traffic,
     events, joins, parks and same-tick resume_at with past virtual
-    ancestry — the insert paths the fast backend's buckets must keep
+    ancestry — the insert paths the fast engine's buckets must keep
     sorted.
     """
     lfsr = eng.lfsr(seed)
@@ -196,13 +162,13 @@ def _random_workload(eng, trace, seed):
 @pytest.mark.parametrize("seed", [0xACE1, 0xBEEF, 0x1234])
 def test_randomized_workload_bit_exact_across_backends(seed):
     traces = {}
-    for backend in ("reference", "fast"):
-        eng = make_engine(backend)
+    for name, build in ENGINES.items():
+        eng = build()
         trace = []
         _random_workload(eng, trace, seed)
         end = eng.run()
-        traces[backend] = (end, trace, eng.live_processes,
-                           eng.pending_events)
+        traces[name] = (end, trace, eng.live_processes,
+                        eng.pending_events)
     assert traces["fast"] == traces["reference"]
 
 
@@ -212,29 +178,51 @@ def test_randomized_workload_bit_exact_under_bounded_runs(seed):
     must not perturb anything either — run-ahead has to stop at each
     horizon and resume cleanly."""
     full = {}
-    for backend in ("reference", "fast"):
-        eng = make_engine(backend)
+    for name, build in ENGINES.items():
+        eng = build()
         trace = []
         _random_workload(eng, trace, seed)
         eng.run()
-        full[backend] = trace
+        full[name] = trace
     chunked = {}
-    for backend in ("reference", "fast"):
-        eng = make_engine(backend)
+    for name, build in ENGINES.items():
+        eng = build()
         trace = []
         _random_workload(eng, trace, seed)
         horizon = 0
         while not eng.finished:
             horizon += 17
             eng.run(until=horizon)
-        chunked[backend] = trace
+        chunked[name] = trace
     assert full["fast"] == full["reference"]
     assert chunked["reference"] == full["reference"]
     assert chunked["fast"] == full["reference"]
 
 
+def test_serial_chain_runs_ahead_to_the_same_end():
+    """A lone chain of timeouts, which the fast engine runs as a bare
+    ``send`` loop: same end tick, finish tick and drained state."""
+    links = 10_000
+    outcomes = {}
+    for name, build in ENGINES.items():
+        eng = build()
+        finished = []
+
+        def chain():
+            for _ in range(links):
+                yield Timeout(7)
+            finished.append(eng.now)
+
+        eng.process(chain(), name="chain")
+        end = eng.run()
+        outcomes[name] = (end, finished, eng.live_processes,
+                          eng.pending_events, eng.finished)
+    assert outcomes["fast"] == outcomes["reference"]
+    assert outcomes["fast"] == (links * 7, [links * 7], 0, 0, True)
+
+
 def test_max_events_parity_across_backends():
-    """Both backends must count events identically: the guard trips at
+    """Both engines must count events identically: the guard trips at
     the same threshold whether or not run-ahead elided heap traffic."""
 
     def build(eng, log):
@@ -246,34 +234,34 @@ def test_max_events_parity_across_backends():
         eng.process(spinner(), name="spin")
 
     thresholds = {}
-    for backend in ("reference", "fast"):
+    for name, make in ENGINES.items():
         for limit in (1, 2, 7, 50):
-            eng = make_engine(backend)
+            eng = make()
             log = []
             build(eng, log)
             with pytest.raises(SimulationError):
                 eng.run(max_events=limit)
-            thresholds[(backend, limit)] = (len(log), eng.now)
+            thresholds[(name, limit)] = (len(log), eng.now)
     for limit in (1, 2, 7, 50):
         assert thresholds[("fast", limit)] == thresholds[("reference", limit)]
 
 
 def test_mid_bucket_failure_leaves_suffix_pending():
     """A callback raising mid-tick must not lose the same-tick suffix:
-    both backends keep unexecuted events inspectable and resumable."""
+    both engines keep unexecuted events inspectable and resumable."""
 
     class Boom(Exception):
         pass
 
-    for backend in ("reference", "fast"):
-        eng = make_engine(backend)
+    for name, build in ENGINES.items():
+        eng = build()
         ran = []
         eng.schedule(5, lambda: ran.append("a"))
         eng.schedule(5, lambda: (_ for _ in ()).throw(Boom()))
         eng.schedule(5, lambda: ran.append("c"))
         with pytest.raises(Boom):
             eng.run()
-        assert ran == ["a"], backend
-        assert eng.pending_events == 1, backend
+        assert ran == ["a"], name
+        assert eng.pending_events == 1, name
         eng.run()
-        assert ran == ["a", "c"], backend
+        assert ran == ["a", "c"], name

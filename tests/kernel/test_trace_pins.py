@@ -11,8 +11,9 @@ lifecycle moves it.
 The cases are fib, quicksort, uts and queens at 1/4/16 PEs with parking
 off and on; one fault plan with every recovery knob on; and one open
 workload with stochastic arrivals, two tenants and an admission window.
-The constants were captured while the kernel still had two backends and
-both produced them.
+The constants were captured while the simulator still had two kernel
+backends, the fast engine and the reference engine that
+``tests/kernel/reference.py`` keeps, and both produced them.
 
 Any diff here means the simulated execution drifted — fix the code, do
 not re-record the pins.
@@ -24,7 +25,6 @@ import json
 import pytest
 
 from repro.harness.runners import run_flex
-from repro.kernel import BACKEND_ENV, BACKEND_NAMES
 from repro.obs.events import TaskRecord
 from repro.resil.faults import FaultSpec
 
@@ -86,23 +86,17 @@ def trace_digest(sink):
     return h.hexdigest()[:16]
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def backend(request, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, request.param)
-    return request.param
-
-
 @pytest.mark.parametrize("park", [False, True], ids=["park0", "park1"])
 @pytest.mark.parametrize("pes", [1, 4, 16])
 @pytest.mark.parametrize("name", ["fib", "quicksort", "uts", "queens"])
-def test_trace_matches_pin(name, pes, park, backend):
+def test_trace_matches_pin(name, pes, park):
     result = run_flex(name, pes, quick=True, telemetry=True,
                       park_idle_pes=park)
     key = f"{name}-{pes}-park{int(park)}"
     assert (result.cycles, trace_digest(result.telemetry)) == GOLDEN[key]
 
 
-def test_faulted_trace_matches_pin(backend):
+def test_faulted_trace_matches_pin():
     result = run_flex("fib", 4, quick=True, telemetry=True,
                       faults=FaultSpec.uniform(0.01), **FAULT_KNOBS)
     injected = result.counters["faults.injected"]
@@ -111,7 +105,7 @@ def test_faulted_trace_matches_pin(backend):
     assert result.counters["faults.recovered"] == injected
 
 
-def test_open_workload_trace_matches_pin(backend):
+def test_open_workload_trace_matches_pin():
     result = run_flex("fib", 4, quick=True, telemetry=True,
                       park_idle_pes=True, workload=OPEN_WORKLOAD)
     assert len(result.jobs) == OPEN_WORKLOAD["num_jobs"]

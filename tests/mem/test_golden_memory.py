@@ -15,6 +15,7 @@ fix the code, do not re-record the goldens.
 import pytest
 
 from repro.harness.runners import run_cpu, run_flex, run_lite
+from tests.kernel.reference import KERNELS, use_kernel
 
 BENCHMARKS = ["quicksort", "bbgemm", "bfsqueue", "spmvcrs", "stencil2d"]
 
@@ -55,12 +56,14 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("platform", list(PLATFORMS))
 @pytest.mark.parametrize("name", BENCHMARKS)
-def test_memory_bound_run_matches_golden(name, platform, backend):
+def test_memory_bound_run_matches_golden(name, platform, kernel,
+                                         monkeypatch):
+    use_kernel(monkeypatch, kernel)
     runner, pes, overrides = PLATFORMS[platform]
-    result = runner(name, pes, quick=True, backend=backend, **overrides)
+    result = runner(name, pes, quick=True, **overrides)
     key = f"{name}-{platform}"
     cycles, *counts = GOLDEN[key]
     expected = dict(zip(COUNTS, counts))

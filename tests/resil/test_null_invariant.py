@@ -12,6 +12,7 @@ import pytest
 from repro.harness.runners import run_flex
 from repro.resil.faults import FaultSpec
 from repro.sched import POLICY_NAMES
+from tests.kernel.reference import KERNELS, use_kernel
 
 #: Recovery knobs at full strength (park off: fault plans require it).
 KNOBS = dict(
@@ -43,13 +44,13 @@ def signature(result):
     }
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("name", ["fib", "uts"])
-def test_zero_rate_plan_is_bit_exact(name, backend):
-    plain = run_flex(name, 8, quick=True, park_idle_pes=False,
-                     backend=backend)
+def test_zero_rate_plan_is_bit_exact(name, kernel, monkeypatch):
+    use_kernel(monkeypatch, kernel)
+    plain = run_flex(name, 8, quick=True, park_idle_pes=False)
     nulled = run_flex(name, 8, quick=True, park_idle_pes=False,
-                      faults=FaultSpec(), backend=backend)
+                      faults=FaultSpec())
     assert signature(nulled) == signature(plain)
     # The plan was attached and consulted zero times.
     assert nulled.counters["faults.injected"] == 0

@@ -30,6 +30,7 @@ import hashlib
 import pytest
 
 from repro.harness.runners import run_flex
+from tests.kernel.reference import KERNELS, use_kernel
 
 #: (cycles, steal_events, steal_digest, attempts, hits, stolen_from)
 #: per "benchmark-pes-park{0,1}", quick sizes.
@@ -67,15 +68,18 @@ def steal_digest(sink):
             len(events))
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("park", [False, True], ids=["park0", "park1"])
 @pytest.mark.parametrize("pes", [1, 4, 16])
 @pytest.mark.parametrize("name", ["fib", "quicksort", "uts"])
-def test_random_policy_matches_pre_refactor_golden(name, pes, park, backend):
-    # Both kernel backends (docs/KERNEL.md) must hit the same goldens:
-    # the fast backend is an optimisation, never a semantic change.
+def test_random_policy_matches_pre_refactor_golden(name, pes, park, kernel,
+                                                   monkeypatch):
+    # The kernel and the reference engine (docs/KERNEL.md) must hit the
+    # same goldens: the fast engine is an optimisation, never a
+    # semantic change.
+    use_kernel(monkeypatch, kernel)
     result = run_flex(name, pes, quick=True, steal_policy="random",
-                      park_idle_pes=park, telemetry=True, backend=backend)
+                      park_idle_pes=park, telemetry=True)
     digest, num_events = steal_digest(result.telemetry)
     key = f"{name}-{pes}-park{int(park)}"
     cycles, events, want_digest, attempts, hits, stolen = GOLDEN[key]

@@ -1,12 +1,14 @@
-"""Unit tests for latency/bandwidth channels, on both kernel backends.
+"""Unit tests for latency/bandwidth channels, on the kernel and the
+test suite's reference engine.
 
 Channels are built through the engine factory (``engine.channel``) so
-each backend's own channel class is under test.
+each engine's own channel class is under test.
 """
 
 import pytest
 
-from repro.kernel import FastEngine, Get, ReferenceEngine, Timeout
+from repro.kernel import FastEngine, Get, Timeout
+from tests.kernel.reference import ReferenceEngine
 
 
 @pytest.fixture(params=["reference", "fast"])
@@ -94,10 +96,3 @@ def test_counts(eng):
     eng.run()
     assert ch.put_count == 2
     assert len(ch) == 2
-
-
-def test_legacy_channel_import_is_reference_channel():
-    from repro.kernel import ReferenceChannel
-    from repro.sim.channel import Channel
-
-    assert Channel is ReferenceChannel

@@ -1,8 +1,9 @@
-"""Unit tests for the discrete-event kernel, run against both backends.
+"""Unit tests for the discrete-event kernel and its reference engine.
 
-Every test is parametrized over the ``reference`` and ``fast`` backends
-via the ``Engine`` fixture — the kernel interface contract
-(docs/KERNEL.md) says any backend must pass the same suite.
+Every test is parametrized over the simulator's ``fast`` engine and the
+test suite's ``reference`` engine via the ``Engine`` fixture — the
+kernel interface contract (docs/KERNEL.md) says both must pass the same
+suite.
 """
 
 import pytest
@@ -11,10 +12,10 @@ from repro.kernel import (
     FastEngine,
     Get,
     Park,
-    ReferenceEngine,
     SimulationError,
     Timeout,
 )
+from tests.kernel.reference import ReferenceEngine
 
 
 @pytest.fixture(params=["reference", "fast"])

@@ -1,6 +1,6 @@
 """Unit tests for statistics helpers."""
 
-from repro.sim.engine import Engine
+from repro.kernel import make_engine
 from repro.sim.stats import Counter, Histogram, StatsRegistry, UtilizationTracker
 
 
@@ -123,7 +123,7 @@ def test_as_dict_empty_histogram_has_no_extremes():
 
 
 def test_utilization_tracker():
-    eng = Engine()
+    eng = make_engine()
     tracker = UtilizationTracker(eng, "pe")
     eng.schedule(0, tracker.set_busy)
     eng.schedule(30, tracker.set_idle)
@@ -136,7 +136,7 @@ def test_utilization_tracker():
 def test_utilization_read_mid_busy_interval():
     """busy_time/utilization sampled while a busy interval is still
     open must include the elapsed part of that interval."""
-    eng = Engine()
+    eng = make_engine()
     tracker = UtilizationTracker(eng, "pe")
     seen = {}
 
@@ -155,7 +155,7 @@ def test_utilization_read_mid_busy_interval():
 
 
 def test_utilization_still_busy_at_end():
-    eng = Engine()
+    eng = make_engine()
     tracker = UtilizationTracker(eng, "pe")
     eng.schedule(10, tracker.set_busy)
     eng.schedule(50, lambda: None)
@@ -164,13 +164,13 @@ def test_utilization_still_busy_at_end():
 
 
 def test_utilization_zero_time():
-    eng = Engine()
+    eng = make_engine()
     tracker = UtilizationTracker(eng, "pe")
     assert tracker.utilization() == 0.0
 
 
 def test_double_busy_is_idempotent():
-    eng = Engine()
+    eng = make_engine()
     tracker = UtilizationTracker(eng, "pe")
     tracker.set_busy()
     tracker.set_busy()

@@ -12,9 +12,10 @@ port exists, and the 4-core CPU baseline.
 The constants were captured before the queens and nw functional
 kernels were rewritten for host speed: a kernel rewrite must keep its
 worker's op stream (task arguments, spawn order, compute charges and
-memory ops), so none of them may move.  Each case runs on both kernel
-backends, selected through ``REPRO_BACKEND`` so the spec digest (and
-hence the record digest) does not depend on the backend.
+memory ops), so none of them may move.  Each case runs on the kernel
+and on the test suite's reference engine, which is substituted for
+``make_engine`` so the spec digest (and hence the record digest) does
+not depend on the engine.
 
 Any diff here means a worker's op stream or the timing it feeds
 drifted — fix the code, do not re-record the goldens.
@@ -24,7 +25,7 @@ import pytest
 
 from repro.exec import make_spec
 from repro.exec.runner import execute
-from repro.kernel import BACKEND_ENV, BACKEND_NAMES
+from tests.kernel.reference import KERNELS, use_kernel
 
 #: "benchmark-platform" -> (cycles, record digest prefix), quick sizes.
 GOLDEN = {
@@ -46,10 +47,10 @@ PLATFORMS = {"flex16": ("flex", 16), "lite16": ("lite", 16),
              "cpu4": ("cpu", 4)}
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("key", list(GOLDEN))
-def test_worker_run_matches_golden(key, backend, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, backend)
+def test_worker_run_matches_golden(key, kernel, monkeypatch):
+    use_kernel(monkeypatch, kernel)
     name, platform = key.split("-")
     engine, pes = PLATFORMS[platform]
     record = execute(make_spec(name, pes, engine=engine, quick=True))

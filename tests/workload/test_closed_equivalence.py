@@ -5,7 +5,8 @@ The open-system refactor rebuilt ``FlexAccelerator.run`` on top of
 t=0.  These tests pin that the new lifecycle is *bit-exact* with the
 pre-refactor engine by replaying every golden configuration of
 ``tests/sched/test_golden_random.py`` through an explicit closed
-:class:`~repro.workload.WorkloadSource` spec, on both kernel backends.
+:class:`~repro.workload.WorkloadSource` spec, on the kernel and on the
+test suite's reference engine.
 
 Any diff here means the arrival path (serialized write-port injection,
 ``submit`` without admission, completion stamping) perturbed the event
@@ -15,19 +16,20 @@ order of a closed run — fix the code, do not re-record the goldens.
 import pytest
 
 from repro.exec import make_spec, simulate
+from tests.kernel.reference import KERNELS, use_kernel
 from tests.sched.test_golden_random import GOLDEN, steal_digest
 
 
-@pytest.mark.parametrize("backend", ["reference", "fast"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_single_job_workload_matches_golden(key, backend):
+def test_single_job_workload_matches_golden(key, kernel, monkeypatch):
+    use_kernel(monkeypatch, kernel)
     name, pes, park = key.rsplit("-", 2)
     spec = make_spec(
         name, int(pes), quick=True,
         workload=dict(kind="closed", num_jobs=1),
         steal_policy="random",
         park_idle_pes=(park == "park1"),
-        backend=backend,
     )
     result = simulate(spec, telemetry=True)
     digest, num_events = steal_digest(result.telemetry)

@@ -2,8 +2,9 @@
 
 The contract (docs/WORKLOADS.md): an open-system run is a pure function
 of its spec.  The same workload produces bit-identical results across
-kernel backends, park modes, and serial-vs-parallel runners — the same
-invariances every closed-system run already guarantees.
+park modes and serial-vs-parallel runners, and on the test suite's
+reference engine — the same invariances every closed-system run
+already guarantees.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from repro.core.exceptions import ConfigError
 from repro.exec import JobRunner, make_spec, simulate
 from repro.exec.record import RunRecord
+from tests.kernel.reference import use_kernel
 
 WORKLOAD = dict(kind="stochastic", rate=4.0, num_jobs=12, seed=0xBEEF)
 
@@ -48,9 +50,10 @@ def test_park_mode_invariance():
     assert a.jobs == b.jobs
 
 
-def test_backend_invariance():
-    a, = _records(_spec(backend="reference"))
-    b, = _records(_spec(backend="fast"))
+def test_backend_invariance(monkeypatch):
+    b, = _records(_spec(), jobs=1)
+    use_kernel(monkeypatch, "reference")
+    a, = _records(_spec(), jobs=1)
     assert a.cycles == b.cycles
     assert a.jobs == b.jobs
     assert a.pe_stats == b.pe_stats
