@@ -294,8 +294,13 @@ class FastEngine(SimKernel):
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
+        # The bucket being drained still holds its executed records and
+        # the executing one, up to and including the cursor.
+        pending = sum(len(b) for b in self._buckets.values())
+        if self._bucket is not None:
+            pending -= self._cursor + 1
+        return pending
 
     @property
     def finished(self) -> bool:
-        return not self._buckets
+        return self.pending_events == 0

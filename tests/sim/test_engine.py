@@ -204,6 +204,23 @@ def test_run_until_leaves_pending_events_and_resumes(Engine):
     assert eng.finished
 
 
+def test_pending_events_inside_an_event_excludes_executed_ones(Engine):
+    """Read from inside a callback, the count leaves out the executing
+    event and those already run at the same tick."""
+    eng = Engine()
+    seen = []
+
+    def look():
+        seen.append((eng.now, eng.pending_events, eng.finished))
+
+    for _ in range(3):
+        eng.schedule(5, look)
+    eng.schedule(9, look)
+    eng.run()
+    assert seen == [(5, 3, False), (5, 2, False), (5, 1, False),
+                    (9, 0, True)]
+
+
 def test_park_suspends_without_engine_events(Engine):
     eng = Engine()
     trace = []
