@@ -11,9 +11,38 @@ and enabled, and require the signatures to match exactly.
 
 import pytest
 
+from repro.arch.accelerator import BaseAccelerator
 from repro.harness.runners import run_cpu, run_flex, run_lite
 from repro.sched import POLICY_NAMES
 from tests.kernel.reference import KERNELS, use_kernel
+
+#: Steal-network ``(local_messages, remote_messages)`` of each run, by
+#: ``id`` of its RunResult (filled by the ``steal_messages`` fixture).
+_STEAL_MESSAGES = {}
+
+
+@pytest.fixture(autouse=True)
+def steal_messages(monkeypatch):
+    """Read every run's steal-network message split off the accelerator.
+
+    RunResult carries only ``steal_requests``; a replay that charged a
+    local message as remote would leave it unchanged.  The split lives
+    on ``accel.net.steal_stats``, so this wraps ``_finish`` to copy it
+    out rather than adding it to RunResult (which would move every
+    record digest).
+    """
+    finish = BaseAccelerator._finish
+
+    def recording_finish(self, max_cycles, label):
+        result = finish(self, max_cycles, label)
+        stats = self.net.steal_stats
+        _STEAL_MESSAGES[id(result)] = (stats.local_messages,
+                                       stats.remote_messages)
+        return result
+
+    monkeypatch.setattr(BaseAccelerator, "_finish", recording_finish)
+    yield _STEAL_MESSAGES
+    _STEAL_MESSAGES.clear()
 
 
 def signature(result):
@@ -27,6 +56,8 @@ def signature(result):
             for s in result.pe_stats
         ],
         "steal_requests": result.counters["steal_requests"],
+        "steal_messages": _STEAL_MESSAGES[id(result)],
+        "mem_summary": result.mem_summary,
         "arg_messages_local": result.counters["arg_messages_local"],
         "arg_messages_remote": result.counters["arg_messages_remote"],
         "value": result.value,
@@ -102,3 +133,22 @@ def test_cpu_baseline_bit_exact_with_parking():
     parked = run_cpu("fib", 8, quick=True, park_idle_pes=True)
     assert signature(parked) == signature(polled)
     assert parked.counters["park.events_elided"] > 0
+
+
+@pytest.mark.parametrize("run", [run_flex, run_lite],
+                         ids=["flex16", "lite16"])
+def test_full_size_quicksort_16_bit_exact_with_parking(run):
+    """Full-size quicksort at 16 PEs, the memory batch's size.
+
+    These are the two jobs of the perfbench memory batch that spend the
+    most host time in the wakeup replay: flex16 replays tens of
+    thousands of virtual failed steals, and lite16 orders long lockstep
+    idle chains on every wake.
+    """
+    polled = run("quicksort", 16, park_idle_pes=False)
+    parked = run("quicksort", 16, park_idle_pes=True)
+    assert signature(parked) == signature(polled)
+    assert parked.counters["park.events_elided"] > 0
+    if run is run_flex:
+        assert (parked.counters["steal_requests"],
+                *_STEAL_MESSAGES[id(parked)]) == (80_024, 29_978, 130_070)
