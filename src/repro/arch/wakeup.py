@@ -61,11 +61,21 @@ order and is used as the final tiebreak.  Resumes therefore receive
 sequence numbers in the same relative order the polling heap would have
 held, and downstream same-tick races (e.g. concurrently executing PEs
 contending for memory bandwidth) replay identically.
+
+A non-stealing PE's history is a uniform cadence, so its plan also
+carries it as data, ``(head, idle, steps)``.  Two cadences with the same
+head and period agree at every position down to the shorter one's
+anchor, so the comparison skips that shared prefix in closed form and
+walks only the few positions after it.  It answers exactly what the
+full walk would, pair by pair — the sort needs that, because the
+comparison is not transitive across chains tied over a shared prefix.
+Replayed stealing chains keep their explicit event lists and the
+positional walk.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Callable, List, Optional, Tuple
 
 from repro.kernel import Park
@@ -93,31 +103,36 @@ class _ParkedPE:
 
 class _Plan:
     """A planned resume: the virtual event to re-enter real execution at,
-    plus the chain history accessor used to order tied resumes."""
+    plus the chain history accessor used to order tied resumes.
 
-    __slots__ = ("time", "s_at", "p_s_at", "value", "elided", "chain")
+    ``cadence`` is ``(head, idle, steps)`` when the history is a uniform
+    idle cadence (:func:`_local_chain`), else ``None``.
+    """
+
+    __slots__ = ("time", "s_at", "p_s_at", "value", "elided", "chain",
+                 "cadence")
 
     def __init__(self, time: int, s_at: int, p_s_at: int, value,
-                 elided: int, chain: Callable[[int], Optional[int]]) -> None:
+                 elided: int, chain: Callable[[int], Optional[int]],
+                 cadence: Optional[Tuple[int, int, int]] = None) -> None:
         self.time = time
         self.s_at = s_at
         self.p_s_at = p_s_at
         self.value = value
         self.elided = elided
         self.chain = chain
+        self.cadence = cadence
 
 
-def _local_chain(f: int, anchor: int, idle: int, s_at: int, p_s_at: int
+def _local_chain(f: int, steps: int, idle: int, s_at: int, p_s_at: int
                  ) -> Callable[[int], Optional[int]]:
     """Backward history of a uniform-cadence idle chain, lazily.
 
     Position 0 is the resume tick ``f``; walking back one poll per step
-    down to the anchor, then the park event's own scheduling ancestry,
-    then exhausted.  Lazy because a long-idle PE may have skipped millions
-    of polls — comparisons only ever touch the first few positions unless
-    two chains ran in lockstep.
+    down to the anchor ``f - steps * idle``, then the park event's own
+    scheduling ancestry, then exhausted.  Lazy because a long-idle PE may
+    have skipped millions of polls.
     """
-    steps = (f - anchor) // idle  # virtual polls between anchor and resume
 
     def chain(k: int) -> Optional[int]:
         if k <= steps:
@@ -145,8 +160,14 @@ def _chain_order(a: Tuple[_Plan, "_ParkedPE", int],
     """Compare two plans the way the polling heap would have ordered their
     resume events: by event time at each backward position (the composite
     keys of tied events overlap level by level), park order on full tie."""
-    ca, cb = a[0].chain, b[0].chain
+    pa, pb = a[0], b[0]
+    ua, ub = pa.cadence, pb.cadence
     k = 0
+    if ua is not None and ub is not None and ua[:2] == ub[:2]:
+        # Same head and period: positions 0..min(steps) hold the same
+        # ticks, so the first that can differ is the one after.
+        k = min(ua[2], ub[2]) + 1
+    ca, cb = pa.chain, pb.chain
     while True:
         ta, tb = ca(k), cb(k)
         if ta is None or tb is None:
@@ -268,8 +289,9 @@ class ParkRegistry:
         while (f, s, p) < key:
             skipped += 1
             f, s, p = f + idle, f, s
-        chain = _local_chain(f, rec.anchor, idle, rec.s_at, rec.p_s_at)
-        return _Plan(f, s, p, None, skipped, chain)
+        steps = (f - rec.anchor) // idle  # polls between anchor and resume
+        chain = _local_chain(f, steps, idle, rec.s_at, rec.p_s_at)
+        return _Plan(f, s, p, None, skipped, chain, (f, idle, steps))
 
     def _plan_stealing(self, rec: _ParkedPE, key: Tuple[int, int, int]
                        ) -> _Plan:
@@ -290,45 +312,63 @@ class ParkRegistry:
         net = accel.net
         tel = accel.telemetry
         sched = pe.sched
+        # Per attempt, only the policy draw, its miss observation and the
+        # network's two latency calls (which also count the messages) carry
+        # the model; everything else is resolved once here.
+        pick_victim = sched.pick_victim
+        note_steal = sched.note_steal
+        request_latency = net.steal_request_latency
+        response_latency = net.steal_response_latency
+        victim_tiles = self._victim_tiles
         backoff = accel.config.steal_backoff_cycles
         thief_tile = pe.tile_id
+        pe_id = pe.pe_id
         f, s, p = rec.anchor, rec.s_at, rec.p_s_at
         # Event times of the replayed cadence, newest first once reversed.
         times: List[int] = [rec.anchor]
-        elided = 0
+        attempts = 0
         while (f, s, p) < key:
-            victim = sched.pick_victim()
-            if sched.counts_steals:
-                pe.stats.steal_attempts += 1
-            victim_tile = accel.victim_tile(victim)
-            hops = 0 if victim_tile == thief_tile else 1
+            victim = pick_victim()
+            attempts += 1
+            victim_tile = victim_tiles[victim]
             # Replayed attempts are emitted with their *virtual*
             # timestamps so the recorded steal timeline matches the
             # polling execution (exports sort by timestamp).
             if tel is not None:
-                tel.steal_request(pe.pe_id, victim, ts=f, hops=hops)
-            probe = f + net.steal_request_latency(thief_tile, victim_tile)
-            elided += 1  # the loop-top / attempt-start event
+                tel.steal_request(pe_id, victim, ts=f,
+                                  hops=0 if victim_tile == thief_tile else 1)
+            probe = f + request_latency(thief_tile, victim_tile)
             times.append(probe)
             if (probe, f, s) >= key:
                 # The victim-side probe lands at-or-after the waking event:
                 # run it for real — it may now see the new work.  Its
                 # steal-hit/miss event (and the policy's observation of
-                # the real response) is emitted by the real probe.
-                times.reverse()
-                times += [rec.s_at, rec.p_s_at]
-                return _Plan(probe, f, s, victim, elided,
-                             _list_chain(times))
+                # the real response) is emitted by the real probe.  Each
+                # earlier attempt elided its loop-top, probe and
+                # NACK-then-backoff events; this one only its loop-top.
+                resume = (probe, f, s, victim, 3 * attempts - 2)
+                break
             # The virtual probe found an empty queue: the policy sees
             # the same miss response the polling loop would have.
-            sched.note_steal(victim, 0, 0)
+            note_steal(victim, 0, 0)
             if tel is not None:
-                tel.steal_result(pe.pe_id, victim, None, ts=probe,
-                                 hops=hops, count=0)
-            nack = probe + net.steal_response_latency(thief_tile, victim_tile)
-            elided += 2  # the probe and the NACK-then-backoff events
+                tel.steal_result(pe_id, victim, None, ts=probe,
+                                 hops=0 if victim_tile == thief_tile else 1,
+                                 count=0)
+            nack = probe + response_latency(thief_tile, victim_tile)
             f, s, p = nack + backoff, nack, probe
-            times += [nack, f]
+            times += (nack, f)
+        else:
+            resume = (f, s, p, None, 3 * attempts)
+        if sched.counts_steals:
+            pe.stats.steal_attempts += attempts
         times.reverse()
         times += [rec.s_at, rec.p_s_at]
-        return _Plan(f, s, p, None, elided, _list_chain(times))
+        return _Plan(*resume, _list_chain(times))
+
+    @cached_property
+    def _victim_tiles(self) -> List[int]:
+        """Tile of each victim id, from ``accel.victim_tile`` (built on the
+        first stealing replay: non-stealing machines have no victims)."""
+        accel = self.accel
+        return [accel.victim_tile(v) for v in range(accel.num_victims)]

@@ -82,7 +82,7 @@ class PEScheduler:
     """
 
     __slots__ = ("policy", "accel", "pe_id", "tile_id", "lfsr",
-                 "counts_steals")
+                 "counts_steals", "num_victims")
 
     def __init__(self, policy: "SchedulingPolicy", pe) -> None:
         self.policy = policy
@@ -99,10 +99,13 @@ class PEScheduler:
         # not load balancing — they are timed but not counted (the
         # ``steal_attempts`` bookkeeping fix; see ``pe.py``).
         self.counts_steals = pe.accel.config.num_pes > 1
+        #: Size of the victim space (``accel.num_victims``), fixed for
+        #: the accelerator's life.
+        self.num_victims = pe.accel.num_victims
 
     # -- decision point 1: victim selection ----------------------------
     def pick_victim(self) -> int:
-        """Victim id in ``[0, accel.num_victims)`` excluding this PE."""
+        """Victim id in ``[0, num_victims)`` excluding this PE."""
         raise NotImplementedError
 
     # -- observation hooks ---------------------------------------------

@@ -52,7 +52,7 @@ class OccupancyScheduler(PEScheduler):
                 best, best_key = victim, key
         if best >= 0:
             return best
-        return self.lfsr.pick_victim(self.accel.num_victims, self.pe_id)
+        return self.lfsr.pick_victim(self.num_victims, self.pe_id)
 
     def note_steal(self, victim_id: int, count: int, depth_after: int
                    ) -> None:

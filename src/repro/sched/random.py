@@ -21,7 +21,7 @@ class RandomScheduler(PEScheduler):
     __slots__ = ()
 
     def pick_victim(self) -> int:
-        return self.lfsr.pick_victim(self.accel.num_victims, self.pe_id)
+        return self.lfsr.pick_victim(self.num_victims, self.pe_id)
 
 
 class RandomPolicy(SchedulingPolicy):
