@@ -8,8 +8,10 @@ which implements the MOESI snooping protocol of Table III.
 
 A stored entry is always valid: ``INVALID`` is represented by absence, so
 "present" and "valid" are the same test.  The coherence domain's per-line
-path works on :attr:`Cache._sets` directly, indexed by
-:meth:`Cache.set_index`, the one definition of the line-to-set mapping.
+path works on :attr:`Cache._sets` directly.  :meth:`Cache.set_index` is
+the one definition of the line-to-set mapping; that path computes the
+same index inline, and ``tests/mem/test_coherence.py`` pins the two
+together.
 """
 
 from __future__ import annotations

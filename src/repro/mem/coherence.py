@@ -29,7 +29,6 @@ from typing import List, Optional
 
 from repro.mem.cache import Cache, State
 from repro.mem.dram import DRAM
-from repro.mem.memory import lines_touched
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,7 @@ class CoherenceDomain:
         self._l2_next_free = 0.0
         self.stats = DomainStats()
         self._l1_set_index = first.set_index
+        self._l1_num_sets = first.num_sets
         #: Per requester, the other L1s in snoop order.
         self._peers = [[peer for peer in l1s if peer is not l1]
                        for l1 in l1s]
@@ -136,16 +136,23 @@ class CoherenceDomain:
         Dependent accesses (e.g. spmv's x gathers) are separate ops and
         therefore still serialise against each other.
         """
+        if nbytes <= 0:
+            raise ValueError(f"access must cover at least one byte: {nbytes}")
         line_size = self.line_size
+        num_sets = self._l1_num_sets
         l1 = self.l1s[requester]
         sets = l1._sets
-        set_index = self._l1_set_index
         prefetch = self.prefetch and not is_write
         hits = misses = 0
         max_stall = 0.0
-        lines = lines_touched(addr, nbytes, line_size)
-        index = set_index(lines[0])
-        for line in lines:
+        # lines_touched() and Cache.set_index(), inline: the lines from
+        # the one holding the first byte to the one holding the last, and
+        # the first line's set, whose successor is always the next set.
+        mask = ~(line_size - 1)
+        first = addr & mask
+        index = (first // line_size) % num_sets
+        for line in range(first, ((addr + nbytes - 1) & mask) + line_size,
+                          line_size):
             lru = sets[index]
             state = lru.get(line)
             if state is None:
@@ -173,7 +180,7 @@ class CoherenceDomain:
             # The next line is both the prefetch target and the next
             # line of this access.
             ahead = line + line_size
-            index = set_index(ahead)
+            index = (index + 1) % num_sets
             if prefetch and ahead not in sets[index]:
                 self._prefetch_line(requester, l1, ahead, index, now_ns)
         stats = l1.stats

@@ -1,11 +1,13 @@
 """MOESI protocol tests: state transitions, transfers, and invariants."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mem.cache import Cache, State
 from repro.mem.coherence import CoherenceDomain, MemLatencies
 from repro.mem.dram import DRAM
+from repro.mem.hierarchy import MemConfig, MemoryHierarchy
+from repro.mem.memory import lines_touched
 
 
 def make_domain(num_l1=2, prefetch=False, l1_size=1024, l2_bw=None):
@@ -212,3 +214,59 @@ def test_single_writer_invariant(ops):
         dom.access(requester, line_idx * 64, 4, is_write, 0.0)
     assert dom.check_coherence()
     assert dom.check_inclusion()
+
+
+# -- the per-access line range and set index, computed inline --------------
+
+
+def test_unaligned_access_crossing_a_line_boundary():
+    """Bytes 60..67 straddle lines 0 and 64: both count, and the
+    prefetcher runs one line past the second."""
+    dom = make_domain(prefetch=True)
+    result = dom.access(0, 60, 8, False, 0.0)
+    # Line 0 misses and prefetches line 64, which then hits.
+    assert (result.line_misses, result.line_hits) == (1, 1)
+    assert sorted(dom.l1s[0].contents()) == [0, 64, 128]
+    assert dom.stats.prefetch_issued == 2
+    cold = make_domain(prefetch=False).access(0, 60, 8, False, 0.0)
+    assert (cold.line_misses, cold.line_hits) == (2, 0)
+
+
+@pytest.mark.parametrize("nbytes", [0, -4])
+def test_empty_access_rejected(nbytes):
+    dom = make_domain()
+    with pytest.raises(ValueError,
+                       match=f"access must cover at least one byte: {nbytes}"):
+        dom.access(0, LINE, nbytes, False, 0.0)
+    assert dom.l1s[0].stats.accesses == 0
+    hierarchy = MemoryHierarchy(MemConfig(num_l1=2))
+    with pytest.raises(ValueError,
+                       match=f"access must cover at least one byte: {nbytes}"):
+        hierarchy.access(0, LINE, nbytes, True, 0.0)
+    assert hierarchy.total_misses() == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([32, 64, 128]), st.integers(1, 512),
+       st.integers(0, 2**32), st.integers(1, 512))
+@example(32, 1, 60, 512)
+@example(128, 512, 512 * 128 - 4, 8)
+def test_cold_read_fills_exactly_lines_touched(line_size, num_sets, addr,
+                                               nbytes):
+    """The inline range and set index agree with ``lines_touched`` and
+    ``Cache.set_index`` for any L1 geometry.  One access touches at most
+    17 lines, so 17 ways hold it even in a single set: nothing is
+    evicted."""
+    l1s = [Cache(f"l1.{i}", num_sets * 17 * line_size, 17, line_size)
+           for i in range(2)]
+    l2 = Cache("l2", 1024 * 8 * line_size, 8, line_size)
+    dom = CoherenceDomain(l1s, l2, DRAM(), MemLatencies(), prefetch=False,
+                          line_size=line_size)
+    result = dom.access(0, addr, nbytes, False, 0.0)
+    expected = lines_touched(addr, nbytes, line_size)
+    l1 = l1s[0]
+    assert sorted(l1.contents()) == list(expected)
+    for line in expected:
+        assert line in l1._sets[l1.set_index(line)]
+    assert result.line_misses == len(expected)
+    assert result.line_hits == 0
