@@ -51,6 +51,8 @@ class DmaMemory:
     def access(self, requester: int, addr: int, nbytes: int, is_write: bool,
                now_ns: float) -> AccessResult:
         """One worker memory op = one DMA burst on ``requester``'s engine."""
+        if nbytes <= 0:
+            raise ValueError(f"access must cover at least one byte: {nbytes}")
         engine_start = max(now_ns, self._engine_free[requester])
         queue_ns = engine_start - now_ns
         transfer_ns = self.dram.access(engine_start + self.setup_ns, nbytes)

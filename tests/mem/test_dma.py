@@ -54,6 +54,19 @@ class TestDmaMemory:
         with pytest.raises(ValueError):
             DmaMemory(num_engines=0)
 
+    @pytest.mark.parametrize("nbytes", [0, -8])
+    def test_empty_burst_rejected(self, nbytes):
+        """Like the other memory models, a burst must move a byte; an
+        empty or negative one used to stall and count, driving the byte
+        counters negative."""
+        dma = DmaMemory(num_engines=1)
+        with pytest.raises(
+                ValueError,
+                match=f"access must cover at least one byte: {nbytes}"):
+            dma.access(0, 0, nbytes, False, 0.0)
+        assert (dma.bursts, dma.bytes_moved) == (0, 0)
+        assert dma.dram.stats.bytes_transferred == 0
+
     def test_summary(self):
         dma = DmaMemory(num_engines=1)
         dma.access(0, 0, 128, False, 0.0)
