@@ -335,8 +335,8 @@ class ParkRegistry:
             # timestamps so the recorded steal timeline matches the
             # polling execution (exports sort by timestamp).
             if tel is not None:
-                tel.steal_request(pe_id, victim, ts=f,
-                                  hops=0 if victim_tile == thief_tile else 1)
+                hops = 0 if victim_tile == thief_tile else 1
+                tel.steal_request(pe_id, victim, ts=f, hops=hops)
             probe = f + request_latency(thief_tile, victim_tile)
             times.append(probe)
             if (probe, f, s) >= key:
@@ -352,8 +352,7 @@ class ParkRegistry:
             # the same miss response the polling loop would have.
             note_steal(victim, 0, 0)
             if tel is not None:
-                tel.steal_result(pe_id, victim, None, ts=probe,
-                                 hops=0 if victim_tile == thief_tile else 1,
+                tel.steal_result(pe_id, victim, None, ts=probe, hops=hops,
                                  count=0)
             nack = probe + response_latency(thief_tile, victim_tile)
             f, s, p = nack + backoff, nack, probe
