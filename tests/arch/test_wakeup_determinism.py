@@ -41,7 +41,7 @@ def steal_messages(monkeypatch):
         return result
 
     monkeypatch.setattr(BaseAccelerator, "_finish", recording_finish)
-    yield _STEAL_MESSAGES
+    yield
     _STEAL_MESSAGES.clear()
 
 

@@ -109,6 +109,17 @@ def sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
+def assert_same_answers(chain_a, chain_b, order: int) -> None:
+    """Both comparators order the pair alike, both ways round; ``order``
+    is ``chain_a``'s park order (0 or 1)."""
+    ea = (product_plan(chain_a), None, order)
+    eb = (product_plan(chain_b), None, 1 - order)
+    ra = (reference_plan(chain_a), None, order)
+    rb = (reference_plan(chain_b), None, 1 - order)
+    assert sign(_chain_order(ea, eb)) == sign(ref_chain_order(ra, rb))
+    assert sign(_chain_order(eb, ea)) == sign(ref_chain_order(rb, ra))
+
+
 # Heads and tails come from small pools so that ties are common.
 HEADS = st.sampled_from([10_000_000, 10_000_000 + IDLE, 10_000_003])
 TAILS = st.tuples(st.sampled_from([5, 6]), st.sampled_from([1, 2]))
@@ -142,14 +153,9 @@ def test_uniform_pairs_match_the_walk(steps, delta, head_a, head_b, tail_a,
     """Uniform cadences up to 10**6 steps, equal or unequal heads, and
     equal or different tails, with step counts near each other so the
     tie runs to the shorter chain's anchor."""
-    a = uniform(head_a, steps, tail_a)
-    b = uniform(head_b, max(0, steps + delta), tail_b)
-    ea = (product_plan(a), None, order)
-    eb = (product_plan(b), None, 1 - order)
-    ra = (reference_plan(a), None, order)
-    rb = (reference_plan(b), None, 1 - order)
-    assert sign(_chain_order(ea, eb)) == sign(ref_chain_order(ra, rb))
-    assert sign(_chain_order(eb, ea)) == sign(ref_chain_order(rb, ra))
+    assert_same_answers(uniform(head_a, steps, tail_a),
+                        uniform(head_b, max(0, steps + delta), tail_b),
+                        order)
 
 
 @settings(max_examples=150, deadline=None)
@@ -158,12 +164,7 @@ def test_uniform_pairs_match_the_walk(steps, delta, head_a, head_b, tail_a,
        st.integers(0, 1))
 def test_mixed_pairs_match_the_walk(chain_a, chain_b, order):
     """Any pairing of uniform cadences and explicit event histories."""
-    ea = (product_plan(chain_a), None, order)
-    eb = (product_plan(chain_b), None, 1 - order)
-    ra = (reference_plan(chain_a), None, order)
-    rb = (reference_plan(chain_b), None, 1 - order)
-    assert sign(_chain_order(ea, eb)) == sign(ref_chain_order(ra, rb))
-    assert sign(_chain_order(eb, ea)) == sign(ref_chain_order(rb, ra))
+    assert_same_answers(chain_a, chain_b, order)
 
 
 def test_uniform_cadences_with_another_period_are_walked():
@@ -171,9 +172,9 @@ def test_uniform_cadences_with_another_period_are_walked():
     idle period, the chains part at position 1."""
     a = uniform(10_000_000, 5, (5, 1), idle=IDLE)
     b = uniform(10_000_000, 5, (5, 1), idle=IDLE + 1)
-    ea, eb = (product_plan(a), None, 0), (product_plan(b), None, 1)
-    ra, rb = (reference_plan(a), None, 0), (reference_plan(b), None, 1)
-    assert _chain_order(ea, eb) == ref_chain_order(ra, rb) == 1
+    assert_same_answers(a, b, 0)
+    assert _chain_order((product_plan(a), None, 0),
+                        (product_plan(b), None, 1)) == 1
 
 
 @settings(max_examples=100, deadline=None)

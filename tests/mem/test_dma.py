@@ -56,9 +56,9 @@ class TestDmaMemory:
 
     @pytest.mark.parametrize("nbytes", [0, -8])
     def test_empty_burst_rejected(self, nbytes):
-        """Like the other memory models, a burst must move a byte; an
-        empty or negative one used to stall and count, driving the byte
-        counters negative."""
+        """Like the other memory models, a burst must move at least one
+        byte: an empty or negative one is rejected before it stalls the
+        engine or reaches the byte counters."""
         dma = DmaMemory(num_engines=1)
         with pytest.raises(
                 ValueError,
