@@ -367,7 +367,8 @@ class ParkRegistry:
 
     @cached_property
     def _victim_tiles(self) -> List[int]:
-        """Tile of each victim id, from ``accel.victim_tile`` (built on the
-        first stealing replay: non-stealing machines have no victims)."""
+        """Tile of each victim id, from ``accel.victim_tile``; built on the
+        first stealing replay, since LiteArch PEs never steal and its
+        ``victim_tile`` raises."""
         accel = self.accel
         return [accel.victim_tile(v) for v in range(accel.num_victims)]
