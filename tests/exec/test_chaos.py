@@ -10,6 +10,7 @@ and every injected host fault is retried, quarantined, or degraded
 around.
 """
 
+import os
 import warnings
 
 import pytest
@@ -165,10 +166,14 @@ def test_kill_only_chaos_retries_on_rebuilt_pools(tmp_path, reference):
     assert runner.stats.failed == 0
 
 
-def test_pool_broken_during_submission_resubmits(reference, monkeypatch):
+@pytest.mark.parametrize("retry", [None, _quiet_policy()],
+                         ids=["no-policy", "policy"])
+def test_pool_broken_during_submission_resubmits(reference, monkeypatch,
+                                                 retry):
     # A killed worker can break the pool while the round is still being
     # submitted, so submit itself raises; the unsubmitted jobs must
-    # move to the next round's pool instead of failing the batch.
+    # move to the next round's pool instead of failing the batch, with
+    # or without a retry policy.
     import repro.exec.runner as runner_mod
     from concurrent.futures.process import BrokenProcessPool
 
@@ -183,11 +188,38 @@ def test_pool_broken_during_submission_resubmits(reference, monkeypatch):
 
     monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
                         BreaksOnThirdSubmit)
-    runner = JobRunner(jobs=2, retry=_quiet_policy())
+    runner = JobRunner(jobs=2, retry=retry)
     records = runner.run_checked(_specs()[:6])
     assert [r.digest for r in records] == reference[:6]
     assert runner.stats.pool_restarts == 1
     assert len(submits) == 3 + 4   # 2 ran, 1 refused, 4 resubmitted
+
+
+def test_worker_death_without_policy_resubmits_its_victims(
+        tmp_path, reference, monkeypatch):
+    # No retry policy: a worker that dies still breaks only its pool.
+    # Every unfinished job, the one that killed it included, goes out
+    # again on a fresh pool at no retry cost, so nothing comes back as
+    # a crash.  The marker file lets the job survive its second run.
+    import repro.exec.runner as runner_mod
+
+    specs = _specs()[:8]
+    doomed = specs[0].digest
+    marker = tmp_path / "died-once"
+    run_job = runner_mod._run_job
+
+    def dies_once(spec, timeout):
+        if spec.digest == doomed and not marker.exists():
+            marker.touch()
+            os._exit(70)
+        return run_job(spec, timeout)
+
+    monkeypatch.setattr(runner_mod, "_run_job", dies_once)
+    runner = JobRunner(jobs=2)
+    records = runner.run_checked(specs)
+    assert [r.digest for r in records] == reference[:8]
+    assert runner.stats.pool_restarts == 1
+    assert runner.stats.retried == runner.stats.failed == 0
 
 
 def test_pool_loss_degrades_to_serial_and_completes(reference):

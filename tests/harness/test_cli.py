@@ -217,6 +217,14 @@ def test_profile_report_command(tmp_path, capsys):
     assert "engine" in out, "the sim engine loop must rank as hot"
 
 
+def test_negative_retries_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fib", "--pes", "1,2", "--jobs", "2",
+              "--retries", "-3", "--no-cache"])
+    assert exc.value.code == 2
+    assert "--retries" in capsys.readouterr().err
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nonesuch"])
