@@ -119,8 +119,8 @@ def _make_runner(args):
     for an export, and ``--profile`` points the runner at
     ``<cache-root>/profiles`` for per-job cProfile captures.
 
-    Robustness wiring (docs/EXECUTION.md): ``--retries N`` builds a
-    :class:`~repro.exec.RetryPolicy` with N+1 total attempts;
+    Robustness wiring (docs/EXECUTION.md): ``--retries N`` (default 0)
+    builds the :class:`~repro.exec.RetryPolicy` with N+1 total attempts;
     ``--resume`` points the runner at ``<cache-root>/manifests`` for
     campaign checkpoints (the manifest dir uses the cache *root* even
     under ``--no-cache`` — resuming without a cache is the point);
@@ -128,7 +128,7 @@ def _make_runner(args):
     :class:`~repro.exec.ChaosPlan` through the runner, the cache, and
     the ledger.
     """
-    from repro.exec import JobRunner, ResultCache, StderrProgress
+    from repro.exec import JobRunner, ResultCache, RetryPolicy, StderrProgress
     from repro.exec.cache import default_cache_dir
 
     cache_root = args.cache_dir or default_cache_dir()
@@ -154,11 +154,6 @@ def _make_runner(args):
         from repro.obs.profile import default_profile_dir
 
         profile_dir = default_profile_dir(cache_root)
-    retry = None
-    if getattr(args, "retries", 0):
-        from repro.exec import RetryPolicy
-
-        retry = RetryPolicy(max_attempts=args.retries + 1)
     manifest_dir = None
     if getattr(args, "resume", False):
         from repro.exec.robust import default_manifest_dir
@@ -168,7 +163,8 @@ def _make_runner(args):
                      progress=StderrProgress(ledger=ledger),
                      metrics=metrics, ledger=ledger,
                      profile_dir=profile_dir,
-                     retry=retry, chaos=chaos,
+                     retry=RetryPolicy(max_attempts=args.retries + 1),
+                     chaos=chaos,
                      manifest_dir=manifest_dir)
 
 
@@ -520,6 +516,17 @@ def _cmd_profile_report(args) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts: an int >= 0 (exit 2 names the flag)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="ParallelXL reproduction toolkit"
@@ -593,10 +600,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-ledger", action="store_true",
                        help="do not append completions to the run "
                        "ledger (<cache-dir>/ledger/runs.jsonl)")
-        p.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="retry transient failures (timeouts, "
-                       "worker crashes) up to N extra attempts with "
-                       "deterministic backoff (default 0: fail fast)")
+        p.add_argument("--retries", type=_non_negative_int, default=0,
+                       metavar="N",
+                       help="retry a job's transient failures "
+                       "(timeouts, crashes) up to N extra attempts with "
+                       "deterministic backoff (default 0: never retry)")
         p.add_argument("--resume", action="store_true",
                        help="checkpoint completions to a campaign "
                        "manifest (<cache-dir>/manifests) and skip "

@@ -65,8 +65,6 @@ from repro.exec.runner import (
     RunnerStats,
     StderrProgress,
     default_jobs,
-    execute,
-    stderr_progress,
 )
 from repro.exec.spec import ENGINES, JobSpec, make_spec
 
@@ -96,11 +94,9 @@ __all__ = [
     "default_cache_dir",
     "default_jobs",
     "default_manifest_dir",
-    "execute",
     "list_manifests",
     "make_spec",
     "record_checksum",
     "simulate",
-    "stderr_progress",
     "unit_roll",
 ]

@@ -151,8 +151,9 @@ class RunRecord:
 
 #: Failure classes a :class:`JobFailure` may carry.  ``timeout`` = the
 #: per-job deadline fired (host-imposed; the job might finish with more
-#: time), ``crash`` = the worker process died or the pool broke
-#: (host-caused), ``sim-error`` = the simulation itself raised — a
+#: time), ``crash`` = the pool raised instead of returning the worker's
+#: outcome (host-caused; a pool broken by a worker's death resubmits
+#: its jobs instead), ``sim-error`` = the simulation itself raised — a
 #: deterministic outcome of the spec that re-running cannot change.
 FAILURE_KINDS = ("timeout", "crash", "sim-error")
 
@@ -190,8 +191,9 @@ class JobFailure:
 
         ``timed_out=True`` means the deadline fired (``timeout``); an
         explicit ``kind="crash"`` is passed by the pool-side handler
-        when the worker process itself died; everything a worker caught
-        *inside* the simulation is a deterministic ``sim-error``.
+        when the pool raised instead of returning an outcome; everything
+        a worker caught *inside* the simulation is a deterministic
+        ``sim-error``.
         """
         from repro.core.exceptions import ParallelXLError
 

@@ -24,9 +24,10 @@ JobRunner` the two pieces that make campaigns dependable
   ``O_APPEND`` stream), so a kill mid-append leaves at most one
   partial line, which the loader skips.
 
-Everything here is opt-in: a :class:`~repro.exec.runner.JobRunner`
-without a ``retry`` policy or ``manifest_dir`` executes exactly the
-code it did before this module existed.
+A :class:`~repro.exec.runner.JobRunner` given no ``retry`` policy runs
+under ``RetryPolicy(max_attempts=1)``: its pools are still supervised,
+but no job's own failure is re-run.  Checkpointing happens only when
+the runner is given a ``manifest_dir``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ MANIFEST_VERSION = 1
 
 #: Failure kinds a default policy considers transient (host-caused).
 TRANSIENT_KINDS = ("timeout", "crash")
-
-#: Pool rebuilds tolerated before degrading to serial execution when no
-#: policy overrides it.
-DEFAULT_POOL_RESTARTS = 2
 
 
 def unit_roll(*parts: object) -> float:
@@ -77,8 +74,10 @@ class RetryPolicy:
     jitter factor in ``[1 - jitter, 1 + jitter)`` drawn from
     ``(seed, digest, attempt)``.  ``timeout_scale`` raises the per-job
     deadline on each timeout retry, so a job that was genuinely slow
-    (not hung) gets room to finish.  ``sleep`` is injectable so tests
-    run with a fake clock.
+    (not hung) gets room to finish.  ``max_pool_restarts`` bounds the
+    pool rebuilds of one parallel batch; past it, the remaining jobs
+    run serially in-process.  ``sleep`` is injectable so tests run with
+    a fake clock.
     """
 
     max_attempts: int = 3
@@ -90,7 +89,7 @@ class RetryPolicy:
     retry_timeouts: bool = True
     retry_crashes: bool = True
     retry_sim_errors: bool = False
-    max_pool_restarts: int = DEFAULT_POOL_RESTARTS
+    max_pool_restarts: int = 2
     sleep: Callable[[float], None] = time.sleep
 
     def retryable(self, failure: JobFailure) -> bool:

@@ -1,13 +1,10 @@
 """Parallel job execution with caching, timeouts, and failure capture.
 
-:func:`execute` is the single-job entry point: cache lookup, simulate,
-distill to a :class:`~repro.exec.record.RunRecord`, cache store.
-
 :class:`JobRunner` executes *batches* of specs:
 
 * ``jobs=1`` (the default, or ``REPRO_JOBS``) runs serially in-process —
   the reference path every parallel execution must match bit-for-bit;
-* ``jobs>1`` fans the non-cached jobs out over a
+* ``jobs>1`` fans the non-cached jobs out over a supervised
   ``concurrent.futures.ProcessPoolExecutor``.  Each worker builds its
   engine from scratch, so results are bit-identical to the serial path
   (every run owns its seeded LFSR streams; asserted by
@@ -20,7 +17,7 @@ distill to a :class:`~repro.exec.record.RunRecord`, cache store.
   failure ``kind`` (``timeout`` / ``crash`` / ``sim-error``);
 * ``timeout`` (seconds per job) bounds runaway simulations via
   ``SIGALRM`` inside the worker (Unix main threads; ignored elsewhere);
-* a ``progress`` callback — e.g. :func:`stderr_progress` — observes
+* a ``progress`` callback — e.g. :class:`StderrProgress` — observes
   every completion, cached or simulated.
 
 The runner is also the host-side **instrumentation point**
@@ -34,23 +31,24 @@ every simulated job runs under ``cProfile`` with one capture per spec
 digest.
 
 And it is the host-side **robustness point** (docs/EXECUTION.md,
-"Failure handling & recovery"): give it a
-:class:`~repro.exec.robust.RetryPolicy` and transient failures
-(timeouts, worker crashes) are retried with exponential backoff and a
-raised deadline, broken process pools are rebuilt up to
-``max_pool_restarts`` times and then degraded to serial in-process
-execution instead of failing the batch; give it a ``manifest_dir`` and
-every completion is checkpointed to an atomic
+"Failure handling & recovery"): every parallel batch is supervised —
+a broken process pool is rebuilt and its unfinished jobs resubmitted
+at no retry cost, up to ``max_pool_restarts`` times, after which the
+rest degrade to serial in-process execution instead of failing the
+batch.  Give it a :class:`~repro.exec.robust.RetryPolicy` and a job's
+own transient failures (``timeout`` and ``crash`` outcomes) are retried
+with exponential backoff and a raised deadline; without one it runs under
+``RetryPolicy(max_attempts=1)``, which retries nothing.  Give it a
+``manifest_dir`` and every completion is checkpointed to an atomic
 :class:`~repro.exec.robust.CampaignManifest`, so a re-run of the same
 batch (``--resume``) skips completed jobs even with the cache disabled
 and after a SIGKILL; give it a :class:`~repro.exec.chaos.ChaosPlan`
 and host faults are injected deterministically (the soak suite in
 ``tests/exec/test_chaos.py``).
 
-All of these default to ``None`` and every emission site is behind an
-``is not None`` guard, so an unconfigured runner executes exactly the
-code it did before — simulated results are bit-identical either way
-(instrumentation only observes, and retries re-run a pure function).
+Simulated results are bit-identical whatever is configured:
+instrumentation only observes, and retries and resubmissions re-run a
+pure function.
 
 The ``fork`` start method is used when available so workers inherit the
 parent's interpreter state (including ``PYTHONHASHSEED``); see
@@ -75,6 +73,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.record import JobFailure, RunRecord, check_outcomes
+from repro.exec.robust import RetryPolicy
 from repro.exec.spec import JobSpec
 
 #: Environment variable providing the default ``jobs`` value.
@@ -142,8 +141,9 @@ def _run_job(spec: JobSpec, timeout: Optional[float]) -> Outcome:
 
     Exceptions caught *here* happened inside the simulation and are
     deterministic functions of the spec (``kind="sim-error"``, or
-    ``timeout`` for the deadline); worker-process death never reaches
-    this handler and is classified ``crash`` by the pool-side caller.
+    ``timeout`` for the deadline).  Worker-process death never reaches
+    this handler: the pool-side caller resubmits its victims, and
+    classifies any other exception the pool raises as ``crash``.
     """
     from repro.exec.engines import simulate
 
@@ -188,21 +188,6 @@ def _worker(spec: JobSpec, timeout: Optional[float],
     else:
         outcome = _run_job(spec, timeout)
     return outcome, time.perf_counter() - start, queue_seconds
-
-
-def execute(spec: JobSpec, *, cache: Optional[ResultCache] = None
-            ) -> RunRecord:
-    """Run one job (through the cache when given), raising on failure."""
-    if cache is not None:
-        record = cache.get(spec)
-        if record is not None:
-            return record
-    from repro.exec.engines import simulate
-
-    record = RunRecord.from_result(spec.digest, simulate(spec))
-    if cache is not None:
-        cache.put(spec, record)
-    return record
 
 
 class StderrProgress:
@@ -291,10 +276,6 @@ class StderrProgress:
             self._retried = self._quarantined = 0
 
 
-#: Module-level default printer (the historical ``progress=`` callback).
-stderr_progress = StderrProgress()
-
-
 @dataclass
 class RunnerStats:
     """Aggregate execution counts and timings for one :class:`JobRunner`.
@@ -375,10 +356,11 @@ class JobRunner:
         profiling.  Cached hits are not profiled — nothing ran.
     retry:
         A :class:`~repro.exec.robust.RetryPolicy`, or ``None``
-        (default) for today's single-attempt behaviour.  With a policy,
-        transient failures are retried (timeouts with a raised
-        deadline), broken pools are rebuilt, and repeated pool loss
-        degrades to serial in-process execution instead of failing.
+        (default) for ``RetryPolicy(max_attempts=1)``: one attempt per
+        job.  A policy with more attempts retries transient failures
+        (timeouts with a raised deadline).  Either way broken pools are
+        rebuilt up to ``max_pool_restarts`` times, and further pool
+        loss degrades to serial in-process execution.
     chaos:
         A :class:`~repro.exec.chaos.ChaosPlan`, or ``None`` (default):
         deterministic host-fault injection (worker kills) for the soak
@@ -405,7 +387,7 @@ class JobRunner:
         self.metrics = metrics
         self.ledger = ledger
         self.profile_dir = Path(profile_dir) if profile_dir else None
-        self.retry = retry
+        self.retry = RetryPolicy(max_attempts=1) if retry is None else retry
         self.chaos = chaos
         self.manifest_dir = Path(manifest_dir) if manifest_dir else None
         self.stats = RunnerStats()
@@ -510,10 +492,7 @@ class JobRunner:
                 pending.append(spec)
 
         if self.jobs > 1 and len(pending) > 1:
-            if self.retry is None and self.chaos is None:
-                self._run_parallel(pending, _complete)
-            else:
-                self._run_parallel_robust(pending, _complete)
+            self._run_parallel(pending, _complete)
         else:
             self._run_serial(pending, _complete, batch_start)
 
@@ -524,7 +503,7 @@ class JobRunner:
                     complete: Callable[..., None],
                     batch_start: Optional[float] = None,
                     attempts: Optional[Dict[str, int]] = None) -> None:
-        """In-process execution with the retry loop when configured.
+        """In-process execution with the retry policy's loop.
 
         ``attempts`` carries per-digest attempt counts accumulated by a
         degraded parallel batch, so retry budgets span the degradation.
@@ -535,13 +514,11 @@ class JobRunner:
         for spec in pending:
             attempt = attempts.get(spec.digest, 0) if attempts else 0
             while True:
-                timeout = (policy.timeout_for(self.timeout, attempt)
-                           if policy is not None else self.timeout)
                 outcome, run_seconds, queue_seconds = _worker(
-                    spec, timeout, batch_start,
-                    self._profile_path(spec))
-                if (not outcome.ok and policy is not None
-                        and policy.should_retry(outcome, attempt)):
+                    spec, policy.timeout_for(self.timeout, attempt),
+                    batch_start, self._profile_path(spec))
+                if not outcome.ok and policy.should_retry(outcome,
+                                                          attempt):
                     self._note_retry(spec, outcome, run_seconds,
                                      queue_seconds)
                     policy.sleep(policy.delay(spec.digest, attempt))
@@ -553,38 +530,10 @@ class JobRunner:
                      run_seconds=run_seconds,
                      queue_seconds=queue_seconds)
 
-    # -- parallel path, unsupervised (the historical code path) --------
+    # -- parallel path (jobs>1, more than one pending job) -------------
     def _run_parallel(self, pending: List[JobSpec],
                       complete: Callable[..., None]) -> None:
-        with ProcessPoolExecutor(max_workers=self.jobs,
-                                 mp_context=self._mp_context()) as pool:
-            submitted_at = time.perf_counter()
-            futures = {
-                pool.submit(_worker, spec, self.timeout, submitted_at,
-                            self._profile_path(spec)): spec
-                for spec in pending
-            }
-            remaining = len(futures)
-            for future in as_completed(futures):
-                spec = futures[future]
-                self._note_occupancy(remaining)
-                remaining -= 1
-                run_seconds = queue_seconds = 0.0
-                try:
-                    outcome, run_seconds, queue_seconds = future.result()
-                except Exception as exc:   # worker process died
-                    outcome = JobFailure.from_exception(
-                        spec.digest, spec.label, exc, kind="crash"
-                    )
-                self._cache_put(spec, outcome)
-                complete(spec, outcome, cached=False,
-                         run_seconds=run_seconds,
-                         queue_seconds=queue_seconds)
-
-    # -- parallel path, supervised (retry and/or chaos configured) -----
-    def _run_parallel_robust(self, pending: List[JobSpec],
-                             complete: Callable[..., None]) -> None:
-        """Pool execution with supervision, retries, and chaos kills.
+        """Supervised pool execution with retries and chaos kills.
 
         Runs in rounds: each round submits every unfinished spec to a
         fresh pool (so crash retries never share a possibly-wounded
@@ -595,11 +544,7 @@ class JobRunner:
         losses, the remaining jobs degrade to serial in-process
         execution with a warning rather than failing the batch.
         """
-        from repro.exec.robust import DEFAULT_POOL_RESTARTS
-
         policy = self.retry
-        restart_limit = (policy.max_pool_restarts if policy is not None
-                         else DEFAULT_POOL_RESTARTS)
         todo: Dict[str, JobSpec] = {s.digest: s for s in pending}
         attempts: Dict[str, int] = {d: 0 for d in todo}
         submissions: Dict[str, int] = {d: 0 for d in todo}
@@ -618,13 +563,12 @@ class JobRunner:
                     kill = (self.chaos is not None
                             and self.chaos.kill_worker(
                                 digest, submissions[digest]))
-                    timeout = (policy.timeout_for(self.timeout,
-                                                  attempts[digest])
-                               if policy is not None else self.timeout)
                     try:
                         future = pool.submit(
-                            _worker, spec, timeout, submitted_at,
-                            self._profile_path(spec), kill)
+                            _worker, spec,
+                            policy.timeout_for(self.timeout,
+                                               attempts[digest]),
+                            submitted_at, self._profile_path(spec), kill)
                     except BrokenProcessPool:
                         # A worker died before the round was fully
                         # submitted: the rest wait for the next pool.
@@ -653,9 +597,8 @@ class JobRunner:
                         outcome = JobFailure.from_exception(
                             spec.digest, spec.label, exc, kind="crash"
                         )
-                    if (not outcome.ok and policy is not None
-                            and policy.should_retry(outcome,
-                                                    attempts[digest])):
+                    if not outcome.ok and policy.should_retry(
+                            outcome, attempts[digest]):
                         self._note_retry(spec, outcome, run_seconds,
                                          queue_seconds)
                         retried_this_round.append(digest)
@@ -676,10 +619,10 @@ class JobRunner:
                         "exec.pool.restarts",
                         "process pools rebuilt after worker death"
                     ).inc()
-                if restarts > restart_limit:
+                if restarts > policy.max_pool_restarts:
                     warnings.warn(
                         f"process pool broke {restarts} times "
-                        f"(limit {restart_limit}); degrading "
+                        f"(limit {policy.max_pool_restarts}); degrading "
                         f"{len(todo)} remaining job(s) to serial "
                         f"in-process execution", RuntimeWarning,
                         stacklevel=3)
@@ -691,7 +634,7 @@ class JobRunner:
                     self._run_serial(list(todo.values()), complete,
                                      attempts=attempts)
                     return
-            if retried_this_round and policy is not None:
+            if retried_this_round:
                 policy.sleep(max(
                     policy.delay(d, attempts[d] - 1)
                     for d in retried_this_round))

@@ -2,8 +2,13 @@
 
 import json
 
-from repro.exec import JobRunner, ResultCache, execute, make_spec
+from repro.exec import JobRunner, ResultCache, make_spec
 from repro.exec.cache import code_salt
+
+
+def execute(spec, cache=None):
+    """Run one job through the cache when given, raising on failure."""
+    return JobRunner(cache=cache).run_checked([spec])[0]
 
 
 def test_execute_round_trips_through_cache(tmp_path):

@@ -23,8 +23,7 @@ drifted — fix the code, do not re-record the goldens.
 
 import pytest
 
-from repro.exec import make_spec
-from repro.exec.runner import execute
+from repro.exec import JobRunner, make_spec
 from tests.kernel.reference import KERNELS, use_kernel
 
 #: "benchmark-platform" -> (cycles, record digest prefix), quick sizes.
@@ -53,7 +52,8 @@ def test_worker_run_matches_golden(key, kernel, monkeypatch):
     use_kernel(monkeypatch, kernel)
     name, platform = key.split("-")
     engine, pes = PLATFORMS[platform]
-    record = execute(make_spec(name, pes, engine=engine, quick=True))
+    record, = JobRunner(jobs=1).run_checked(
+        [make_spec(name, pes, engine=engine, quick=True)])
     cycles, digest = GOLDEN[key]
     assert record.cycles == cycles, key
     assert record.digest[:len(digest)] == digest, key
