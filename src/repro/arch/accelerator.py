@@ -58,10 +58,6 @@ class BaseAccelerator:
     #: accesses go through the cache hierarchy.
     scratchpad_local = True
 
-    #: Optional :class:`repro.harness.trace.ExecutionTrace` recording each
-    #: executed task's PE occupancy (set via ``attach_trace``).
-    tracer = None
-
     #: Optional :class:`repro.obs.EventSink` recording structured
     #: task-lifecycle events (set via ``repro.obs.attach_telemetry``).
     #: Record-only: attaching one does not perturb simulated cycles.

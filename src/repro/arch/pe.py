@@ -416,9 +416,6 @@ class ProcessingElement:
             tel.exec_end(self.pe_id, uid,
                          self.stats.compute_cycles - compute_before,
                          self.stats.mem_stall_cycles - stall_before)
-        if accel.tracer is not None:
-            accel.tracer.record(self.pe_id, start, accel.engine.now,
-                                task.task_type)
         self._exec_depth -= 1
         self.current_task = prev_task
         accel.task_done()

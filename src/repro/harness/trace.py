@@ -1,9 +1,11 @@
 """Execution tracing: per-PE busy intervals and ASCII timelines.
 
-Attach an :class:`ExecutionTrace` to an accelerator before running and it
-records one interval per executed task (PE, start/end cycle, task type).
-The trace renders as a terminal timeline — the quickest way to *see* load
-imbalance, steal-driven rebalancing, or a serial bottleneck:
+An :class:`ExecutionTrace` holds one interval per executed task (PE,
+start/end cycle, task type).  :func:`attach_trace` derives them from the
+accelerator's telemetry :class:`~repro.obs.EventSink`, whose task
+records already carry each execute window.  The trace renders as a
+terminal timeline — the quickest way to *see* load imbalance,
+steal-driven rebalancing, or a serial bottleneck:
 
     pe0 |##########____########|
     pe1 |____##################|
@@ -15,7 +17,7 @@ Use :func:`attach_trace`, run the engine, then ``print(trace.render())``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -33,16 +35,22 @@ class TaskInterval:
 
 
 class ExecutionTrace:
-    """Recorder + renderer for per-PE activity."""
+    """Per-PE activity: fixed ``intervals``, or a live telemetry sink's
+    finished task records."""
 
-    def __init__(self, num_pes: Optional[int] = None) -> None:
-        self.intervals: List[TaskInterval] = []
+    def __init__(self, intervals: Iterable[TaskInterval] = (),
+                 num_pes: Optional[int] = None, sink=None) -> None:
+        self._intervals = list(intervals)
         self._num_pes = num_pes
+        self._sink = sink
 
-    # Called by the PE after each task completes.
-    def record(self, pe_id: int, start: int, end: int, task_type: str
-               ) -> None:
-        self.intervals.append(TaskInterval(pe_id, start, end, task_type))
+    @property
+    def intervals(self) -> List[TaskInterval]:
+        if self._sink is None:
+            return self._intervals
+        return [TaskInterval(rec.pe, rec.exec_start, rec.exec_end,
+                             rec.task_type)
+                for rec in self._sink.tasks if rec.exec_end >= 0]
 
     @property
     def num_pes(self) -> int:
@@ -71,23 +79,25 @@ class ExecutionTrace:
 
     def render(self, width: int = 72) -> str:
         """ASCII timeline: '#' busy, '_' idle, one row per PE."""
-        end = self.end_cycle
-        if end == 0 or not self.intervals:
+        intervals = self.intervals
+        end = max((i.end for i in intervals), default=0)
+        if end == 0:
             return "(empty trace)"
         scale = end / width
         rows = []
         for pe in range(self.num_pes):
             cells = [0.0] * width
-            for interval in self.intervals:
+            busy = 0
+            for interval in intervals:
                 if interval.pe_id != pe:
                     continue
+                busy += interval.duration
                 first = int(interval.start / scale)
                 last = min(width - 1, int(max(interval.start,
                                               interval.end - 1) / scale))
                 for cell in range(first, last + 1):
                     cells[cell] += 1.0
             line = "".join("#" if c > 0 else "_" for c in cells)
-            busy = self.busy_cycles(pe)
             rows.append(f"pe{pe:<3d}|{line}| {100.0 * busy / end:3.0f}%")
         header = f"cycles 0..{end} ({scale:.1f} cycles/char)"
         return "\n".join([header] + rows)
@@ -103,11 +113,16 @@ class ExecutionTrace:
 
 
 def attach_trace(accelerator) -> ExecutionTrace:
-    """Create a trace and attach it to an accelerator before ``run``.
+    """A trace of ``accelerator``'s tasks; call it before ``run``.
 
-    The machine's real PE count is captured so never-busy PEs still get
-    an (all-idle) timeline row instead of silently vanishing.
+    Attaches telemetry unless a sink is already attached, and reads the
+    intervals from that sink's task records.  The machine's real PE
+    count is captured so never-busy PEs still get an (all-idle)
+    timeline row instead of silently vanishing.
     """
-    trace = ExecutionTrace(num_pes=len(accelerator.pes))
-    accelerator.tracer = trace
-    return trace
+    from repro.obs.events import attach_telemetry
+
+    sink = accelerator.telemetry
+    if sink is None:
+        sink = attach_telemetry(accelerator)
+    return ExecutionTrace(num_pes=len(accelerator.pes), sink=sink)

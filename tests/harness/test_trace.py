@@ -5,6 +5,7 @@ import pytest
 from repro.arch import FlexAccelerator, flex_config
 from repro.core.task import HOST_CONTINUATION, Task
 from repro.harness.trace import ExecutionTrace, TaskInterval, attach_trace
+from repro.obs import attach_telemetry
 from repro.workers.fib import FibWorker, fib_reference
 
 
@@ -77,15 +78,22 @@ def test_idle_pes_keep_timeline_rows():
     assert sum("#" in line for line in lines[1:]) == 1
 
 
+def test_trace_reuses_attached_telemetry():
+    accel = FlexAccelerator(flex_config(4, memory="perfect"), FibWorker())
+    sink = attach_telemetry(accel)
+    trace = attach_trace(accel)
+    result = accel.run(Task("FIB", HOST_CONTINUATION, (12,)))
+    assert accel.telemetry is sink
+    assert len(trace.intervals) == result.tasks_executed == len(sink.tasks)
+
+
 def test_unattached_trace_derives_pe_count():
-    trace = ExecutionTrace()
-    trace.record(3, 0, 5, "T")
+    trace = ExecutionTrace([TaskInterval(3, 0, 5, "T")])
     assert trace.num_pes == 4
 
 
 def test_declared_pe_count_never_undercounts():
-    trace = ExecutionTrace(num_pes=2)
-    trace.record(5, 0, 5, "T")
+    trace = ExecutionTrace([TaskInterval(5, 0, 5, "T")], num_pes=2)
     assert trace.num_pes == 6
 
 
