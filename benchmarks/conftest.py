@@ -5,16 +5,9 @@ prints it (run with ``-s`` to see the rendered output).  By default the
 experiments run in *quick* mode (reduced workload sizes, identical shapes)
 so the whole suite finishes in minutes; set ``REPRO_FULL=1`` for the
 full-size runs used in EXPERIMENTS.md.
-
-Timing-sensitive benchmarks publish their measurements through the
-``bench_metrics`` fixture: set ``REPRO_BENCH_DIR=<dir>`` (the CI
-benchmarks-timing step does) and each test's registry is exported as
-``<dir>/BENCH_<testname>.json`` via the :mod:`repro.obs.metrics`
-exporter, giving machine-readable timing artifacts per CI run.
 """
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -23,22 +16,6 @@ import pytest
 def quick() -> bool:
     """False when REPRO_FULL=1: run paper-size workloads."""
     return os.environ.get("REPRO_FULL", "0") != "1"
-
-
-@pytest.fixture
-def bench_metrics(request):
-    """Per-test metrics registry, exported when ``REPRO_BENCH_DIR`` is set."""
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    yield registry
-    out_dir = os.environ.get("REPRO_BENCH_DIR")
-    if not out_dir:
-        return
-    safe = "".join(c if c.isalnum() or c in "_-" else "_"
-                   for c in request.node.name)
-    path = registry.write(Path(out_dir) / f"BENCH_{safe}.json")
-    print(f"\nbench metrics: wrote {path}")
 
 
 def run_once(benchmark, fn):

@@ -11,7 +11,10 @@ and enabled, and require the signatures to match exactly.
 
 import pytest
 
-from repro.arch.accelerator import BaseAccelerator
+from repro.arch.accelerator import BaseAccelerator, FlexAccelerator
+from repro.arch.config import flex_config
+from repro.core.context import Worker
+from repro.core.task import HOST_CONTINUATION, Task
 from repro.harness.runners import run_cpu, run_flex, run_lite
 from repro.sched import POLICY_NAMES
 from tests.kernel.reference import KERNELS, use_kernel
@@ -152,3 +155,41 @@ def test_full_size_quicksort_16_bit_exact_with_parking(run):
     if run is run_flex:
         assert (parked.counters["steal_requests"],
                 *_STEAL_MESSAGES[id(parked)]) == (80_024, 29_978, 130_070)
+
+
+class SerialChainWorker(Worker):
+    """A pure serial tail: each task computes, then spawns one successor.
+
+    Fifteen of the sixteen PEs have nothing to do for the whole run —
+    they poll and fail steals (or park) for every one of the chain's
+    compute cycles.  This is the serial-phase behaviour of fib's final
+    SUM reductions, distilled.
+    """
+
+    name = "serial-chain"
+    task_types = ("CHAIN",)
+
+    def execute(self, task, ctx):
+        remaining = task.arg(0)
+        ctx.compute(400)
+        if remaining > 0:
+            ctx.spawn(Task("CHAIN", task.k, (remaining - 1,)))
+        else:
+            ctx.send_arg(task.k, 0)
+
+
+def _run_chain(park, links=100):
+    config = flex_config(16, memory="perfect", park_idle_pes=park)
+    accel = FlexAccelerator(config, SerialChainWorker())
+    return accel.run(Task("CHAIN", HOST_CONTINUATION, (links,)))
+
+
+def test_serial_chain_16_bit_exact_with_parking():
+    """The idle-heavy worst case: 15 PEs idle for the whole chain."""
+    polled = _run_chain(park=False)
+    parked = _run_chain(park=True)
+    assert signature(parked) == signature(polled)
+    assert parked.value == 0
+    # The idle PEs' failed-steal cadence runs at three engine events per
+    # ~12 cycles per PE, so parking elides most of the polled run.
+    assert parked.counters["park.events_elided"] > 50_000
