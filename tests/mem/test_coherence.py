@@ -270,3 +270,44 @@ def test_cold_read_fills_exactly_lines_touched(line_size, num_sets, addr,
         assert line in l1._sets[l1.set_index(line)]
     assert result.line_misses == len(expected)
     assert result.line_hits == 0
+
+
+def _assert_sets_consistent(cache):
+    """Every line a cache holds sits in its ``set_index`` set, and no
+    set holds more than ``assoc`` lines."""
+    for index, lru in enumerate(cache._sets):
+        assert len(lru) <= cache.assoc
+        for line in lru:
+            assert cache.set_index(line) == index
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    line_size=st.sampled_from([32, 64]),
+    l1_sets=st.sampled_from([1, 2, 4]),
+    l1_assoc=st.integers(1, 2),
+    l2_sets=st.sampled_from([1, 2, 4]),
+    l2_assoc=st.integers(2, 4),
+    prefetch=st.booleans(),
+    ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 47),
+                           st.integers(1, 3), st.booleans()),
+                 min_size=1, max_size=120),
+)
+def test_random_traffic_keeps_sets_inclusion_and_coherence(
+        line_size, l1_sets, l1_assoc, l2_sets, l2_assoc, prefetch, ops):
+    """Reads and writes from three requesters over geometries small
+    enough that both the L1s and the L2 evict, through the inline
+    per-line path, leave every cache set-consistent, inclusive and
+    single-writer."""
+    l1s = [Cache(f"l1.{i}", l1_sets * l1_assoc * line_size, l1_assoc,
+                 line_size) for i in range(3)]
+    l2 = Cache("l2", l2_sets * l2_assoc * line_size, l2_assoc, line_size)
+    dom = CoherenceDomain(l1s, l2, DRAM(), MemLatencies(), prefetch=prefetch,
+                          line_size=line_size)
+    for requester, line_idx, nlines, is_write in ops:
+        dom.access(requester, line_idx * line_size + 4,
+                   nlines * line_size - 8, is_write, 0.0)
+    for cache in l1s + [l2]:
+        _assert_sets_consistent(cache)
+    assert dom.check_inclusion()
+    assert dom.check_coherence()

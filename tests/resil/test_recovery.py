@@ -132,6 +132,17 @@ class TestPStoreBackpressure:
                           pstore_backpressure=True, **GUARD)
         assert sum(s.pstore_nacks for s in result.pe_stats) > 0
 
+    @pytest.mark.parametrize("park", [False, True])
+    def test_backpressure_run_pinned(self, park):
+        """The NACK retry path (reverse-order rollback, then backoff)
+        replays the same timeline with parking on and off."""
+        result = run_flex("fib", 4, quick=True, pstore_entries=self.ENTRIES,
+                          pstore_backpressure=True, park_idle_pes=park,
+                          watchdog_interval=100_000)
+        assert result.cycles == 3195
+        assert [s.pstore_nacks for s in result.pe_stats] == [0, 0, 1, 2]
+        assert result.value == 377
+
     def test_structural_exhaustion_still_terminates(self):
         """Backpressure cannot conjure capacity: when the pending
         footprint exceeds the store structurally, the retry budget
@@ -172,3 +183,11 @@ class TestSpawnOverflowInline:
         result = accel.run(Task("ROOT", HOST_CONTINUATION))
         assert result.value == 8
         assert sum(pe.stats.inline_spawns for pe in accel.pes) > 0
+
+    def test_inline_execution_pinned(self):
+        """The nested ``_execute`` an overflowing spawn takes shares the
+        outer task's busy window; its timeline is pinned."""
+        accel = self.accel(spawn_overflow_inline=True)
+        result = accel.run(Task("ROOT", HOST_CONTINUATION))
+        assert result.cycles == 101
+        assert [s.inline_spawns for s in result.pe_stats] == [0, 6]
