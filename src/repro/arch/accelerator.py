@@ -31,7 +31,7 @@ from repro.arch.pe import ProcessingElement
 from repro.arch.pstore import HardwarePStore
 from repro.arch.result import RunResult
 from repro.arch.wakeup import ParkRegistry
-from repro.core.context import MemOp, Worker
+from repro.core.context import Worker
 from repro.core.exceptions import (
     ConfigError,
     DeadlockError,
@@ -40,7 +40,7 @@ from repro.core.exceptions import (
 from repro.core.task import Continuation, Task
 from repro.mem.hierarchy import MemoryHierarchy, PerfectMemory, StreamBufferMemory
 from repro.sched import make_policy
-from repro.kernel import make_engine
+from repro.kernel import Timeout, make_engine
 from repro.workload import DEFAULT_TENANT_NAME, Job, JobRecord, Tenant
 
 #: Default simulation cycle budget before declaring deadlock.
@@ -76,15 +76,9 @@ class BaseAccelerator:
         self.net = CrossbarNetwork(config)
         self.interface = InterfaceBlock()
         self.memory = self._build_memory()
-        # Resolved once for mem_stall_cycles: each PE's memory port (its
-        # tile's L1, or the PE itself in stream-buffer mode) and the
-        # clock period.
-        if config.memory == MEMORY_STREAM:
-            self._mem_ports = list(range(config.num_pes))
-        else:
-            self._mem_ports = [config.tile_of(pe_id)
-                               for pe_id in range(config.num_pes)]
-        self._period_ns = config.clock.period_ns
+        #: One interned ``Timeout`` per delay, shared by the PEs (the
+        #: kernel only reads ``.delay``; see ``ProcessingElement._timeout``).
+        self.timeouts: Dict[int, Timeout] = {}
         if config.shared_worker_kinds is not None:
             from repro.arch.hetero import SharedWorkerUnits
 
@@ -142,16 +136,6 @@ class BaseAccelerator:
             return PerfectMemory(num_l1=cfg.num_tiles)
         raise ConfigError(f"unknown memory style {cfg.memory!r}")
 
-    def mem_stall_cycles(self, pe_id: int, op: MemOp) -> int:
-        """Stall cycles (in the accelerator clock) for one memory op."""
-        stall_ns = self.memory.access(
-            self._mem_ports[pe_id], op.addr, op.nbytes, op.is_write,
-            self.engine.now * self._period_ns,
-        ).stall_ns
-        if stall_ns <= 0.0:
-            return 0
-        return self.config.clock.ns_to_cycles(stall_ns)
-
     # -- outstanding-work accounting -------------------------------------
     def add_work(self, amount: int = 1) -> None:
         self.outstanding += amount
@@ -174,9 +158,6 @@ class BaseAccelerator:
         self.done = True
         if self.park_registry is not None:
             self.park_registry.notify_done()
-
-    def task_done(self) -> None:
-        self.sub_work()
 
     # ------------------------------------------------------------------
     def _start_processes(self) -> None:
@@ -451,7 +432,7 @@ class FlexAccelerator(BaseAccelerator):
 
     def rollback_successor(self, cont: Continuation) -> None:
         """Return a pending entry allocated by a NACKed task attempt
-        (allocation backpressure; see ``ProcessingElement._functional``)."""
+        (allocation backpressure; see ``ProcessingElement._retry_nacked``)."""
         self.pstores[cont.owner].rollback(cont.entry)
         self.sub_work()  # the pending entry's work unit
 

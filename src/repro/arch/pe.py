@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
+from repro.arch.config import MEMORY_STREAM
 from repro.core.context import (
     ComputeOp,
     MemOp,
@@ -124,6 +125,16 @@ class ProcessingElement:
         self._t_queue_op = Timeout(cfg.queue_op_cycles)
         self._t_pstore_rt = Timeout(2 * cfg.pstore_local_cycles)
         self._t_arg_issue = Timeout(1)
+        # Variable delays (compute, memory stall, steal legs) come from
+        # the accelerator's by-delay table instead (see _timeout).
+        self._timeouts = accel.timeouts
+        # One bound call per memory op: the model's access, this PE's
+        # port (its tile's L1, or the PE itself in stream-buffer mode)
+        # and the clock that converts the stall.
+        self._mem_access = accel.memory.access
+        self._mem_port = pe_id if cfg.memory == MEMORY_STREAM else self.tile_id
+        self._period_ns = cfg.clock.period_ns
+        self._ns_to_cycles = cfg.clock.ns_to_cycles
         self._busy_since: Optional[int] = None
         # Engine process handle, set by the accelerator when it starts the
         # PE; the park registry needs it to resume a parked loop.
@@ -233,13 +244,13 @@ class ProcessingElement:
                 if retries > cfg.steal_retry_limit:
                     # Give up this round: treat the timeout like a NACK
                     # and let the main loop back off and re-attempt.
-                    yield Timeout(cfg.steal_timeout_cycles)
+                    yield self._timeout(cfg.steal_timeout_cycles)
                     return None
                 self.stats.steal_retries += 1
                 if accel.telemetry is not None:
                     accel.telemetry.recovery("steal-retry", pe=self.pe_id,
                                              data={"victim": victim_id})
-                yield Timeout(cfg.steal_timeout_cycles)
+                yield self._timeout(cfg.steal_timeout_cycles)
                 continue
             extra = 0
             if fault is not None:  # ("delay", cycles): absorbed in flight
@@ -249,9 +260,17 @@ class ProcessingElement:
                     accel.telemetry.fault(STEAL_DELAY, pe=self.pe_id,
                                           data={"victim": victim_id,
                                                 "cycles": extra})
-            yield Timeout(request)
+            yield self._timeout(request)
             stolen = yield from self._finish_steal(victim_id, extra=extra)
             return stolen
+
+    def _timeout(self, delay: int) -> Timeout:
+        """The interned ``Timeout(delay)``, built (and so validated) on
+        first use.  ``_execute`` inlines this lookup in its op loop."""
+        timeout = self._timeouts.get(delay)
+        if timeout is None:
+            timeout = self._timeouts[delay] = Timeout(delay)
+        return timeout
 
     def _hops(self, victim_id: int) -> int:
         """Victim distance in crossbar hops (0 = tile-local; the IF
@@ -285,7 +304,7 @@ class ProcessingElement:
         ) + extra
         if len(tasks) > 1:
             response += (len(tasks) - 1) * cfg.queue_op_cycles
-        yield Timeout(response)
+        yield self._timeout(response)
         if not tasks:
             return None
         if self.sched.counts_steals:
@@ -304,10 +323,11 @@ class ProcessingElement:
     def _execute(self, task: Task) -> Generator:
         """Run one task: functional execution, then timed op replay."""
         accel = self.accel
-        cfg = self.config
+        stats = self.stats
         tel = accel.telemetry
         plan = accel.faults
-        start = accel.engine.now
+        engine = accel.engine
+        start = engine.now
         # Nested calls (inline spawn on queue overflow) share the outer
         # task's busy window; only the outermost frame charges it.
         outermost = self._exec_depth == 0
@@ -315,17 +335,24 @@ class ProcessingElement:
         self._exec_depth += 1
         self.current_task = task
         self.exec_started_at = start
-        compute_before = self.stats.compute_cycles
-        stall_before = self.stats.mem_stall_cycles
+        compute_before = stats.compute_cycles
+        stall_before = stats.mem_stall_cycles
         uid = -1
         if tel is not None:
             uid = tel.exec_start(self.pe_id, task)
-        self.stats.tasks_executed += 1
+        stats.tasks_executed += 1
         self.worker.check_task_type(task)
         shadow_sig = None
         if plan is not None and plan.pe_fault():
             shadow_sig = yield from self._transient_fault(task)
-        ctx = yield from self._functional(task)
+        # The functional attempt; a P-Store NACK takes the retry path.
+        ctx = WorkerContext(self.pe_id, self._alloc_successor)
+        self._attempt_allocs = []
+        try:
+            self.worker.execute(task, ctx)
+        except PStoreNack as nack:
+            ctx = yield from self._retry_nacked(task, nack)
+        self._attempt_allocs = None
         if shadow_sig is not None and op_signature(ctx.ops) != shadow_sig:
             raise ProtocolError(
                 f"non-idempotent re-execution of {task.task_type!r} on "
@@ -339,33 +366,52 @@ class ProcessingElement:
                 "LiteArch workers cannot spawn tasks or create successors "
                 f"(task {task.task_type!r})"
             )
+        timeouts = self._timeouts
         # Heterogeneous workers: a shared-kind task must win its tile's
         # shared datapath unit for its compute duration before running.
         if accel.worker_units is not None:
             kind = accel.worker_units.kind(task.task_type)
             if kind is not None and ctx.compute_cycles:
                 wait = accel.worker_units.acquire(
-                    self.tile_id, kind, accel.engine.now, ctx.compute_cycles
+                    self.tile_id, kind, engine.now, ctx.compute_cycles
                 )
                 if wait:
-                    yield Timeout(wait)
+                    yield self._timeout(wait)
+        access = self._mem_access
+        port = self._mem_port
+        period_ns = self._period_ns
+        scratchpad_local = accel.scratchpad_local
+        # Dispatch on the record's class, the two per-op kinds first.
+        # Compute and stall Timeouts come from the by-delay table
+        # (_timeout, inline).
         for op in ctx.ops:
-            if isinstance(op, ComputeOp):
-                self.stats.compute_cycles += op.cycles
-                yield Timeout(op.cycles)
-            elif isinstance(op, MemOp):
-                if op.scratchpad and accel.scratchpad_local:
+            cls = op.__class__
+            if cls is ComputeOp:
+                cycles = op.cycles
+                stats.compute_cycles += cycles
+                timeout = timeouts.get(cycles)
+                if timeout is None:
+                    timeout = timeouts[cycles] = Timeout(cycles)
+                yield timeout
+            elif cls is MemOp:
+                if op.scratchpad and scratchpad_local:
                     continue  # worker-local BRAM, absorbed by the pipeline
-                stall = accel.mem_stall_cycles(self.pe_id, op)
-                if stall:
-                    self.stats.mem_stall_cycles += stall
-                    if tel is not None:
-                        tel.mem_stall(self.pe_id, stall)
-                    yield Timeout(stall)
-            elif isinstance(op, SuccessorOp):
+                stall_ns = access(port, op.addr, op.nbytes, op.is_write,
+                                  engine.now * period_ns).stall_ns
+                if stall_ns > 0.0:
+                    stall = self._ns_to_cycles(stall_ns)
+                    if stall:
+                        stats.mem_stall_cycles += stall
+                        if tel is not None:
+                            tel.mem_stall(self.pe_id, stall)
+                        timeout = timeouts.get(stall)
+                        if timeout is None:
+                            timeout = timeouts[stall] = Timeout(stall)
+                        yield timeout
+            elif cls is SuccessorOp:
                 # cont_req/cont_resp round trip to the local P-Store.
                 yield self._t_pstore_rt
-            elif isinstance(op, SpawnOp):
+            elif cls is SpawnOp:
                 yield self._t_queue_op
                 accel.add_work()
                 if tel is not None:
@@ -377,9 +423,9 @@ class ProcessingElement:
                     # policies use this — self-push is the hardware
                     # default — but the decision point is the policy's).
                     latency = accel.net.task_return_latency(
-                        self.tile_id, cfg.tile_of(target)
+                        self.tile_id, self.config.tile_of(target)
                     )
-                    accel.engine.schedule(
+                    engine.schedule(
                         latency,
                         lambda t=op.task, p=target:
                             accel._enqueue_ready(p, t),
@@ -388,7 +434,7 @@ class ProcessingElement:
                 try:
                     self.tmu.push_tail(op.task)
                 except TaskQueueOverflowError as exc:
-                    if not cfg.spawn_overflow_inline:
+                    if not self.config.spawn_overflow_inline:
                         raise TaskQueueOverflowError(
                             f"pe{self.pe_id} task queue overflow spawning "
                             f"{op.task.task_type!r}: "
@@ -399,31 +445,31 @@ class ProcessingElement:
                     # Graceful degradation: execute the child inline, as
                     # a software runtime would on a full deque.  Serial
                     # but correct; the spawn becomes a nested call.
-                    self.stats.inline_spawns += 1
+                    stats.inline_spawns += 1
                     if tel is not None:
                         tel.recovery("spawn-inline", pe=self.pe_id,
                                      data={"type": op.task.task_type})
                     yield from self._execute(op.task)
-            elif isinstance(op, SendArgOp):
+            elif cls is SendArgOp:
                 yield self._t_arg_issue  # arg_out issue
                 if tel is not None:
                     tel.arg_sent(self.pe_id, op.cont)
                 accel.send_arg(self.pe_id, op.cont, op.value)
         if outermost:
-            self.stats.busy_cycles += accel.engine.now - start
-        self.stats.queue_high_water = self.tmu.high_water
+            stats.busy_cycles += engine.now - start
         if tel is not None:
             tel.exec_end(self.pe_id, uid,
-                         self.stats.compute_cycles - compute_before,
-                         self.stats.mem_stall_cycles - stall_before)
+                         stats.compute_cycles - compute_before,
+                         stats.mem_stall_cycles - stall_before)
         self._exec_depth -= 1
         self.current_task = prev_task
-        accel.task_done()
+        accel.sub_work()
 
-    def _functional(self, task: Task) -> Generator:
-        """Functional execution, retrying on P-Store allocation NACKs.
+    def _retry_nacked(self, task: Task, nack: PStoreNack) -> Generator:
+        """Retry a functional attempt the P-Store NACKed; returns the
+        context of the attempt that succeeds.
 
-        Backpressure rollback frees this attempt's allocations in
+        Backpressure rollback frees each failed attempt's allocations in
         *reverse* order so the free list is restored exactly and the
         retry draws the same entry ids; the backoff grows exponentially
         (capped) until ``pstore_retry_limit``, after which the enriched
@@ -433,41 +479,41 @@ class ProcessingElement:
         cfg = self.config
         attempt = 0
         while True:
+            allocs, self._attempt_allocs = self._attempt_allocs, None
+            for cont in reversed(allocs):
+                accel.rollback_successor(cont)
+            self.stats.pstore_nacks += 1
+            attempt += 1
+            if attempt >= cfg.pstore_retry_limit:
+                err = PStoreFullError(
+                    f"P-Store tile {nack.tile} still full after "
+                    f"{attempt} backpressure retries allocating "
+                    f"{nack.task_type!r} for pe{self.pe_id} "
+                    f"({nack.occupancy}/{nack.capacity} entries) — "
+                    "the pending-task footprint exceeds the store "
+                    "structurally; raise pstore_entries"
+                )
+                err.tile = nack.tile
+                err.occupancy = nack.occupancy
+                err.capacity = nack.capacity
+                err.task_type = nack.task_type
+                err.creator_pe = self.pe_id
+                raise err from nack
+            if accel.telemetry is not None:
+                accel.telemetry.recovery(
+                    "pstore-retry", pe=self.pe_id,
+                    data={"tile": nack.tile, "attempt": attempt},
+                )
+            yield Timeout(
+                cfg.pstore_retry_backoff_cycles << min(attempt - 1, 6)
+            )
             ctx = WorkerContext(self.pe_id, self._alloc_successor)
             self._attempt_allocs = []
             try:
                 self.worker.execute(task, ctx)
-            except PStoreNack as nack:
-                allocs, self._attempt_allocs = self._attempt_allocs, None
-                for cont in reversed(allocs):
-                    accel.rollback_successor(cont)
-                self.stats.pstore_nacks += 1
-                attempt += 1
-                if attempt >= cfg.pstore_retry_limit:
-                    err = PStoreFullError(
-                        f"P-Store tile {nack.tile} still full after "
-                        f"{attempt} backpressure retries allocating "
-                        f"{nack.task_type!r} for pe{self.pe_id} "
-                        f"({nack.occupancy}/{nack.capacity} entries) — "
-                        "the pending-task footprint exceeds the store "
-                        "structurally; raise pstore_entries"
-                    )
-                    err.tile = nack.tile
-                    err.occupancy = nack.occupancy
-                    err.capacity = nack.capacity
-                    err.task_type = nack.task_type
-                    err.creator_pe = self.pe_id
-                    raise err from nack
-                if accel.telemetry is not None:
-                    accel.telemetry.recovery(
-                        "pstore-retry", pe=self.pe_id,
-                        data={"tile": nack.tile, "attempt": attempt},
-                    )
-                yield Timeout(
-                    cfg.pstore_retry_backoff_cycles << min(attempt - 1, 6)
-                )
+            except PStoreNack as exc:
+                nack = exc
             else:
-                self._attempt_allocs = None
                 return ctx
 
     def _transient_fault(self, task: Task) -> Generator:

@@ -34,38 +34,46 @@ from typing import Callable, List, Optional, Tuple, Union
 from repro.core.exceptions import ProtocolError
 from repro.core.task import Continuation, Task
 
+# Workers build one record per recorded operation, so the records are
+# plain slotted classes: a frozen dataclass's ``__init__`` pays an
+# ``object.__setattr__`` call per field.
 
-@dataclass(frozen=True)
+
+@dataclass
 class SpawnOp:
     """A child task pushed through ``task_out``."""
 
+    __slots__ = ("task",)
     task: Task
 
 
-@dataclass(frozen=True)
+@dataclass
 class SendArgOp:
     """A return value sent through ``arg_out`` to a continuation slot."""
 
+    __slots__ = ("cont", "value")
     cont: Continuation
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass
 class SuccessorOp:
     """A ``cont_req``/``cont_resp`` round trip that created a pending task."""
 
+    __slots__ = ("cont", "njoin")
     cont: Continuation
     njoin: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class ComputeOp:
     """Datapath busy time, in accelerator (or CPU) cycles."""
 
+    __slots__ = ("cycles",)
     cycles: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class MemOp:
     """A memory access issued through the worker's memory port.
 
@@ -74,6 +82,7 @@ class MemOp:
     cacheable accesses for the software baseline.
     """
 
+    __slots__ = ("addr", "nbytes", "is_write", "scratchpad")
     addr: int
     nbytes: int
     is_write: bool

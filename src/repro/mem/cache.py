@@ -10,8 +10,14 @@ A stored entry is always valid: ``INVALID`` is represented by absence, so
 "present" and "valid" are the same test.  The coherence domain's per-line
 path works on :attr:`Cache._sets` directly.  :meth:`Cache.set_index` is
 the one definition of the line-to-set mapping; that path computes the
-same index inline, and ``tests/mem/test_coherence.py`` pins the two
-together.
+same index inline for the L1s and the L2, and
+``tests/mem/test_coherence.py`` pins the two together.
+
+Sets are built lazily: every set starts as the one shared, read-only
+:data:`EMPTY_SET`, and an insert first swaps in a fresh ``OrderedDict``
+(:meth:`Cache.fill`, and the coherence domain's inline L1 fill).
+Lookups, ``pop(line, None)`` and LRU touches of a present line never
+need that swap, so the access path carries no branch for it.
 """
 
 from __future__ import annotations
@@ -44,6 +50,22 @@ class State(Enum):
     def can_write(self) -> bool:
         """States that permit a write hit without a bus transaction."""
         return self in (State.MODIFIED, State.EXCLUSIVE)
+
+
+class _EmptySet(OrderedDict):
+    """A set that holds no line and refuses inserts."""
+
+    __slots__ = ()
+
+    def __setitem__(self, line, state):
+        raise TypeError(
+            "EMPTY_SET is shared by every unfilled set: swap in a fresh "
+            "set before inserting"
+        )
+
+
+#: The set every cache set starts as (see the module docstring).
+EMPTY_SET = _EmptySet()
 
 
 @dataclass
@@ -99,8 +121,9 @@ class Cache:
         self.assoc = assoc
         self.line_size = line_size
         self.num_sets = size // (assoc * line_size)
-        # Each set is an OrderedDict: line_base -> State, LRU first.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Each set is an OrderedDict: line_base -> State, LRU first;
+        # EMPTY_SET until its first fill.
+        self._sets: List[OrderedDict] = [EMPTY_SET] * self.num_sets
         self.stats = CacheStats()
 
     def set_index(self, line: int) -> int:
@@ -147,9 +170,13 @@ class Cache:
         if state is State.INVALID:
             raise ValueError(
                 f"{self.name}: cannot fill line {line:#x} as INVALID")
-        s = self._sets[self.set_index(line) if index is None else index]
+        if index is None:
+            index = self.set_index(line)
+        s = self._sets[index]
         victim = None
-        if line in s:
+        if s is EMPTY_SET:
+            s = self._sets[index] = OrderedDict()
+        elif line in s:
             s.move_to_end(line)
         elif len(s) >= self.assoc:
             victim = s.popitem(last=False)

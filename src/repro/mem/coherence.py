@@ -24,10 +24,11 @@ resolves each line access to a stall time:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.mem.cache import Cache, State
+from repro.mem.cache import EMPTY_SET, Cache, State
 from repro.mem.dram import DRAM
 
 
@@ -113,6 +114,10 @@ class CoherenceDomain:
         self.stats = DomainStats()
         self._l1_set_index = first.set_index
         self._l1_num_sets = first.num_sets
+        # Cache.set_index of the L2, computed inline on the per-line path.
+        self._l2_sets = l2._sets
+        self._l2_line_size = l2.line_size
+        self._l2_num_sets = l2.num_sets
         #: Per requester, the other L1s in snoop order.
         self._peers = [[peer for peer in l1s if peer is not l1]
                        for l1 in l1s]
@@ -248,7 +253,18 @@ class CoherenceDomain:
 
     def _fill_l1(self, l1: Cache, line: int, index: int, state: State,
                  now_ns: float) -> None:
-        victim = l1.fill(line, state, index)
+        """Install ``line`` in set ``index`` of ``l1``, which lacks it (a
+        miss or a prefetch target): ``Cache.fill``'s LRU insert and victim
+        pop inline, then the dirty victim's writeback to the L2."""
+        sets = l1._sets
+        lru = sets[index]
+        victim = None
+        if lru is EMPTY_SET:
+            lru = sets[index] = OrderedDict()
+        elif len(lru) >= l1.assoc:
+            victim = lru.popitem(last=False)
+            l1.stats.evictions += 1
+        lru[line] = state
         if victim is not None:
             victim_line, victim_state = victim
             if victim_state is MODIFIED or victim_state is OWNED:
@@ -257,27 +273,26 @@ class CoherenceDomain:
                 self._l2_note_modified(victim_line, fill_if_absent=True,
                                        now_ns=now_ns)
 
-    def _l2_port_delay(self, now_ns: float) -> float:
-        """Queue time behind other requesters at the shared L2 port."""
-        if self.l2_bytes_per_ns is None:
-            return 0.0
-        service = self.line_size / self.l2_bytes_per_ns
-        start = max(now_ns, self._l2_next_free)
-        self._l2_next_free = start + service
-        return start - now_ns
-
     def _from_l2(self, line: int, now_ns: float) -> float:
-        """Stall for supplying a line from the L2, fetching DRAM on miss."""
-        queue_ns = self._l2_port_delay(now_ns)
-        now_ns += queue_ns
-        l2 = self.l2
-        lru = l2._sets[l2.set_index(line)]
+        """Stall for supplying a line from the L2, fetching DRAM on miss.
+
+        The stall starts with the queue time behind other requesters at
+        the shared L2 port (none when its bandwidth is unlimited).
+        """
+        queue_ns = 0.0
+        if self.l2_bytes_per_ns is not None:
+            service = self.line_size / self.l2_bytes_per_ns
+            start = max(now_ns, self._l2_next_free)
+            self._l2_next_free = start + service
+            queue_ns = start - now_ns
+            now_ns += queue_ns
+        lru = self._l2_sets[(line // self._l2_line_size) % self._l2_num_sets]
         if line in lru:
             lru.move_to_end(line)
-            l2.stats.read_hits += 1
+            self.l2.stats.read_hits += 1
             self.stats.l2_hits += 1
             return queue_ns + self.lat.l2_hit_ns
-        l2.stats.read_misses += 1
+        self.l2.stats.read_misses += 1
         self.stats.l2_misses += 1
         dram_ns = self.dram.access(now_ns + self.lat.l2_hit_ns)
         self._fill_l2(line, EXCLUSIVE, now_ns)
@@ -305,8 +320,7 @@ class CoherenceDomain:
 
     def _l2_note_modified(self, line: int, fill_if_absent: bool = False,
                           now_ns: float = 0.0) -> None:
-        l2 = self.l2
-        lru = l2._sets[l2.set_index(line)]
+        lru = self._l2_sets[(line // self._l2_line_size) % self._l2_num_sets]
         if line in lru:
             lru[line] = MODIFIED
             lru.move_to_end(line)
@@ -324,8 +338,7 @@ class CoherenceDomain:
                 return
         self.stats.prefetch_issued += 1
         l1.stats.prefetch_fills += 1
-        l2 = self.l2
-        lru = l2._sets[l2.set_index(line)]
+        lru = self._l2_sets[(line // self._l2_line_size) % self._l2_num_sets]
         if line in lru:
             lru.move_to_end(line)
         else:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.mem.cache import Cache, State
+from repro.mem.cache import EMPTY_SET, Cache, State
 from repro.mem.coherence import CoherenceDomain, MemLatencies
 from repro.mem.dram import DRAM
 from repro.mem.hierarchy import MemConfig, MemoryHierarchy
@@ -298,7 +298,7 @@ def test_random_traffic_keeps_sets_inclusion_and_coherence(
     """Reads and writes from three requesters over geometries small
     enough that both the L1s and the L2 evict, through the inline
     per-line path, leave every cache set-consistent, inclusive and
-    single-writer."""
+    single-writer, and never write into the shared empty set."""
     l1s = [Cache(f"l1.{i}", l1_sets * l1_assoc * line_size, l1_assoc,
                  line_size) for i in range(3)]
     l2 = Cache("l2", l2_sets * l2_assoc * line_size, l2_assoc, line_size)
@@ -311,3 +311,6 @@ def test_random_traffic_keeps_sets_inclusion_and_coherence(
         _assert_sets_consistent(cache)
     assert dom.check_inclusion()
     assert dom.check_coherence()
+    assert len(EMPTY_SET) == 0
+    with pytest.raises(TypeError, match="EMPTY_SET"):
+        EMPTY_SET[0] = State.SHARED
