@@ -726,12 +726,14 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_parser = sub.add_parser(
         "ledger", help="query the run ledger (repro.obs.ledger)"
     )
-    ledger_parser.add_argument("--recent", type=int, default=None,
-                               metavar="N", help="show the newest N "
-                               "runs (the default view, N=15)")
-    ledger_parser.add_argument("--slowest", type=int, default=None,
-                               metavar="N", help="show the N slowest "
-                               "executed (non-cached) jobs")
+    ledger_parser.add_argument("--recent", type=_non_negative_int,
+                               default=None, metavar="N",
+                               help="show the newest N runs (the default "
+                               "view, N=15)")
+    ledger_parser.add_argument("--slowest", type=_non_negative_int,
+                               default=None, metavar="N",
+                               help="show the N slowest executed "
+                               "(non-cached) jobs")
     ledger_parser.add_argument("--trend", action="store_true",
                                help="per-campaign cache-hit trend")
     ledger_parser.add_argument("--cache-dir", metavar="DIR", default=None,
@@ -755,9 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
         "profile-report",
         help="aggregate --profile captures (repro.obs.profile)",
     )
-    profile_parser.add_argument("--top", type=int, default=20,
-                                metavar="N", help="rows to show "
-                                "(default 20)")
+    profile_parser.add_argument("--top", type=_non_negative_int,
+                                default=20, metavar="N",
+                                help="rows to show (default 20)")
     profile_parser.add_argument("--sort", default="cumulative",
                                 choices=("cumulative", "tottime"))
     profile_parser.add_argument("--cache-dir", metavar="DIR",

@@ -242,11 +242,14 @@ def _when(ts: float) -> str:
 
 
 def render_recent(entries: List[Dict], n: int = 15) -> str:
-    """Aligned table of the newest N entries (newest last)."""
+    """Aligned table of the newest N entries (newest last); N = 0 leaves
+    only the header."""
     from repro.harness.common import format_table
 
+    if not entries:
+        return "(ledger empty)"
     rows = []
-    for entry in entries[-n:]:
+    for entry in entries[-n:] if n else ():
         rows.append([
             _when(entry.get("ts", 0.0)),
             entry.get("label", "?"),
@@ -258,8 +261,6 @@ def render_recent(entries: List[Dict], n: int = 15) -> str:
             f"{entry.get('lookup_seconds', 0.0):.4f}",
             str(entry.get("cycles", "-")),
         ])
-    if not rows:
-        return "(ledger empty)"
     return format_table(
         ["when", "label", "digest", "outcome", "run s", "queue s",
          "lookup s", "cycles"], rows)

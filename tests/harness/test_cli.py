@@ -225,6 +225,30 @@ def test_negative_retries_rejected(capsys):
     assert "--retries" in capsys.readouterr().err
 
 
+def test_ledger_recent_zero_prints_no_entry(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    assert main(["sweep", "fib", "--pes", "1,2",
+                 "--cache-dir", cache_dir]) == 0
+    capsys.readouterr()
+    assert main(["ledger", "--cache-dir", cache_dir, "--recent", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "recent runs" in out
+    assert "fib-flex" not in out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["ledger", "--slowest", "-2"], "--slowest"),
+    (["ledger", "--recent", "-1"], "--recent"),
+    (["profile-report", "--top", "-5"], "--top"),
+])
+def test_negative_counts_rejected(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-dir", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= 0" in err
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nonesuch"])

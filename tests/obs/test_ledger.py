@@ -145,6 +145,17 @@ def test_renderers_produce_tables(tmp_path):
     assert render_trend([]) == "(ledger empty)"
 
 
+def test_render_recent_zero_shows_no_rows():
+    """``entries[-0:]`` is the whole list: N = 0 must still mean none."""
+    entries = [{"label": f"job{i}", "ts": float(i)} for i in range(3)]
+    table = render_recent(entries, 0)
+    assert "when" in table and "label" in table
+    assert not any(f"job{i}" in table for i in range(3))
+    assert len(table.splitlines()) == 2  # header and rule only
+    assert "job0" not in render_recent(entries, 2)
+    assert "job2" in render_recent(entries, 2)
+
+
 def test_appends_are_whole_lines(tmp_path):
     """Every line is independently parseable (single-write appends)."""
     ledger = RunLedger(tmp_path)
