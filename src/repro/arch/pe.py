@@ -366,7 +366,6 @@ class ProcessingElement:
                 "LiteArch workers cannot spawn tasks or create successors "
                 f"(task {task.task_type!r})"
             )
-        timeouts = self._timeouts
         # Heterogeneous workers: a shared-kind task must win its tile's
         # shared datapath unit for its compute duration before running.
         if accel.worker_units is not None:
@@ -377,6 +376,7 @@ class ProcessingElement:
                 )
                 if wait:
                     yield self._timeout(wait)
+        timeouts = self._timeouts
         access = self._mem_access
         port = self._mem_port
         period_ns = self._period_ns
