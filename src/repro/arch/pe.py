@@ -114,20 +114,18 @@ class ProcessingElement:
         # LFSR), built by the accelerator's policy (repro.sched).
         self.sched = accel.sched_policy.scheduler_for(self)
         self.stats = PEStats(pe_id)
-        # Preallocated Timeout scratch for the fixed-latency hot yields.
-        # The kernel only reads ``.delay``, so per-PE reuse is safe and
-        # saves an allocation per dispatch/poll/backoff event.
+        # Every yielded Timeout comes from the accelerator's by-delay
+        # table (see _timeout); the fixed-latency hot yields keep theirs
+        # as attributes.
         cfg = accel.config
-        self._t_pop = Timeout(cfg.queue_op_cycles + cfg.dispatch_cycles)
-        self._t_idle = Timeout(cfg.idle_poll_cycles)
-        self._t_backoff = Timeout(cfg.steal_backoff_cycles)
-        self._t_dispatch = Timeout(cfg.dispatch_cycles)
-        self._t_queue_op = Timeout(cfg.queue_op_cycles)
-        self._t_pstore_rt = Timeout(2 * cfg.pstore_local_cycles)
-        self._t_arg_issue = Timeout(1)
-        # Variable delays (compute, memory stall, steal legs) come from
-        # the accelerator's by-delay table instead (see _timeout).
         self._timeouts = accel.timeouts
+        self._t_pop = self._timeout(cfg.queue_op_cycles + cfg.dispatch_cycles)
+        self._t_idle = self._timeout(cfg.idle_poll_cycles)
+        self._t_backoff = self._timeout(cfg.steal_backoff_cycles)
+        self._t_dispatch = self._timeout(cfg.dispatch_cycles)
+        self._t_queue_op = self._timeout(cfg.queue_op_cycles)
+        self._t_pstore_rt = self._timeout(2 * cfg.pstore_local_cycles)
+        self._t_arg_issue = self._timeout(1)
         # One bound call per memory op: the model's access, this PE's
         # port (its tile's L1, or the PE itself in stream-buffer mode)
         # and the clock that converts the stall.
@@ -266,7 +264,9 @@ class ProcessingElement:
 
     def _timeout(self, delay: int) -> Timeout:
         """The interned ``Timeout(delay)``, built (and so validated) on
-        first use.  ``_execute`` inlines this lookup in its op loop."""
+        first use; the kernel only reads ``.delay``, so one object serves
+        every yield of that delay.  ``_execute`` inlines this lookup in
+        its op loop."""
         timeout = self._timeouts.get(delay)
         if timeout is None:
             timeout = self._timeouts[delay] = Timeout(delay)
@@ -504,7 +504,7 @@ class ProcessingElement:
                     "pstore-retry", pe=self.pe_id,
                     data={"tile": nack.tile, "attempt": attempt},
                 )
-            yield Timeout(
+            yield self._timeout(
                 cfg.pstore_retry_backoff_cycles << min(attempt - 1, 6)
             )
             ctx = WorkerContext(self.pe_id, self._alloc_successor)
@@ -544,7 +544,7 @@ class ProcessingElement:
         shadow = WorkerContext(self.pe_id, self._shadow_alloc)
         self.worker.execute(task, shadow)
         self.stats.pe_faults += 1
-        yield Timeout(cfg.pe_fault_recovery_cycles)
+        yield self._timeout(cfg.pe_fault_recovery_cycles)
         accel.faults.note_recovery(PE_TRANSIENT)
         if tel is not None:
             tel.recovery("pe-reexec", pe=self.pe_id,

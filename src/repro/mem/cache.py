@@ -157,21 +157,17 @@ class Cache:
             raise KeyError(f"{self.name}: line {line:#x} not present")
         s[line] = state
 
-    def fill(self, line: int, state: State,
-             index: Optional[int] = None) -> Optional[Tuple[int, State]]:
+    def fill(self, line: int, state: State) -> Optional[Tuple[int, State]]:
         """Insert ``line``; returns an evicted ``(line, state)`` or ``None``.
 
         The victim is the LRU line of the set.  The caller handles any
-        writeback the victim's state requires.  ``index`` is the line's
-        :meth:`set_index`, for callers that already computed it.  Filling
-        ``INVALID`` is an error: an invalid line is an absent one (use
-        :meth:`invalidate`).
+        writeback the victim's state requires.  Filling ``INVALID`` is an
+        error: an invalid line is an absent one (use :meth:`invalidate`).
         """
         if state is State.INVALID:
             raise ValueError(
                 f"{self.name}: cannot fill line {line:#x} as INVALID")
-        if index is None:
-            index = self.set_index(line)
+        index = self.set_index(line)
         s = self._sets[index]
         victim = None
         if s is EMPTY_SET:
