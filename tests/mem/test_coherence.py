@@ -272,6 +272,32 @@ def test_cold_read_fills_exactly_lines_touched(line_size, num_sets, addr,
     assert result.line_hits == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([32, 64, 128]), st.integers(1, 512),
+       st.integers(2, 4), st.integers(0, 2**32))
+@example(64, 1, 2, 0)
+@example(128, 512, 2, 512 * 128 - 4)
+def test_inline_l2_index_finds_filled_lines(line_size, l2_sets, l2_assoc,
+                                            addr):
+    """The L2 set index that ``_from_l2``, ``_prefetch_line`` and
+    ``_l2_note_modified`` compute inline agrees with
+    ``Cache.set_index``: lines ``Cache.fill`` placed are found there, so
+    no access below reaches DRAM."""
+    l1s = [Cache(f"l1.{i}", 8 * line_size, 2, line_size) for i in range(2)]
+    l2 = Cache("l2", l2_sets * l2_assoc * line_size, l2_assoc, line_size)
+    dom = CoherenceDomain(l1s, l2, DRAM(), MemLatencies(), prefetch=True,
+                          line_size=line_size)
+    line = addr - addr % line_size
+    for held in (line, line + line_size):
+        l2.fill(held, State.EXCLUSIVE)
+    dom.access(0, addr, 1, False, 0.0)   # _from_l2, then a prefetch
+    dom.access(1, addr, 1, True, 0.0)    # _from_l2, _l2_note_modified
+    assert (dom.stats.l2_hits, dom.stats.l2_misses) == (2, 0)
+    assert dom.stats.prefetch_issued == 1
+    assert dom.dram.stats.requests == 0
+    assert l2.lookup(line) is State.MODIFIED
+
+
 def _assert_sets_consistent(cache):
     """Every line a cache holds sits in its ``set_index`` set, and no
     set holds more than ``assoc`` lines."""
