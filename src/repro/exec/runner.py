@@ -57,6 +57,7 @@ docs/EXECUTION.md for the bit-exactness argument.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import signal
@@ -188,6 +189,23 @@ def _worker(spec: JobSpec, timeout: Optional[float],
     else:
         outcome = _run_job(spec, timeout)
     return outcome, time.perf_counter() - start, queue_seconds
+
+
+def _pool_worker(*args):
+    """:func:`_worker`, then a full collection.
+
+    A finished simulation is a web of reference cycles (engine,
+    processes, PEs, caches) that only a full collection frees, and the
+    automatic collector may not run one for several jobs.  A worker's
+    peak RSS would then depend on which jobs the pool happened to give
+    it and in what order; collecting after every job keeps at most one
+    simulation in its heap.  The pool's initializer, ``gc.freeze``,
+    moves the heap inherited over ``fork`` out of the collector's
+    reach, so each collection traverses only the worker's own objects.
+    """
+    result = _worker(*args)
+    gc.collect()
+    return result
 
 
 class StderrProgress:
@@ -554,8 +572,8 @@ class JobRunner:
             retried_this_round: List[str] = []
             round_specs = list(todo.values())
             with ProcessPoolExecutor(max_workers=self.jobs,
-                                     mp_context=self._mp_context()
-                                     ) as pool:
+                                     mp_context=self._mp_context(),
+                                     initializer=gc.freeze) as pool:
                 submitted_at = time.perf_counter()
                 futures = {}
                 for spec in round_specs:
@@ -565,7 +583,7 @@ class JobRunner:
                                 digest, submissions[digest]))
                     try:
                         future = pool.submit(
-                            _worker, spec,
+                            _pool_worker, spec,
                             policy.timeout_for(self.timeout,
                                                attempts[digest]),
                             submitted_at, self._profile_path(spec), kill)

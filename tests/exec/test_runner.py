@@ -51,6 +51,38 @@ def test_parallel_failure_captured():
     assert fail.error_type == "DeadlockError"
 
 
+def test_pool_worker_frees_each_finished_job(monkeypatch):
+    """Garbage a job leaves in a reference cycle is gone by the time
+    the pool worker hands the job's result back."""
+    import gc
+    import weakref
+
+    from repro.exec import runner as runner_mod
+
+    class Node:
+        pass
+
+    refs = []
+
+    def leaves_a_cycle(spec, timeout):
+        node = Node()
+        node.self = node
+        refs.append(weakref.ref(node))
+        return "outcome"
+
+    monkeypatch.setattr(runner_mod, "_run_job", leaves_a_cycle)
+    enabled = gc.isenabled()
+    gc.disable()        # only the worker's own collection may free it
+    try:
+        outcome, _, _ = runner_mod._pool_worker(
+            make_spec("fib", 2, quick=True), None)
+    finally:
+        if enabled:
+            gc.enable()
+    assert outcome == "outcome"
+    assert refs[0]() is None
+
+
 def test_run_checked_raises_with_structured_failure():
     bad = make_spec("fib", 2, quick=True, max_cycles=100)
     with pytest.raises(JobFailedError) as excinfo:
