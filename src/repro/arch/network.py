@@ -13,6 +13,7 @@ into its access cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.arch.config import AcceleratorConfig
 
@@ -86,3 +87,22 @@ class CrossbarNetwork:
             return base + self.config.queue_op_cycles
         self.steal_stats.remote_messages += 1
         return base + self.config.net_hop_cycles
+
+    # -- bulk steal charges (the parked-PE replay) -------------------------
+    def steal_latencies(self, local: bool) -> Tuple[int, int]:
+        """``(request, response)`` cycles of a steal whose victim is on
+        the thief's tile (``local``) or not, as the two calls above
+        return them, counting nothing."""
+        cfg = self.config
+        if local:
+            return cfg.queue_op_cycles, 2 * cfg.queue_op_cycles
+        return cfg.net_hop_cycles, cfg.queue_op_cycles + cfg.net_hop_cycles
+
+    def count_steal_messages(self, requests: int, local: int,
+                             remote: int) -> None:
+        """Count ``requests`` steal requests and ``local``/``remote``
+        messages at once, as that many calls above would have."""
+        stats = self.steal_stats
+        stats.steal_requests += requests
+        stats.local_messages += local
+        stats.remote_messages += remote

@@ -47,6 +47,7 @@ without a fault plan or with the knobs at their fail-fast defaults):
 
 from __future__ import annotations
 
+from math import ceil
 from typing import Generator, List, Optional
 
 from repro.arch.config import MEMORY_STREAM
@@ -128,11 +129,10 @@ class ProcessingElement:
         self._t_arg_issue = self._timeout(1)
         # One bound call per memory op: the model's access, this PE's
         # port (its tile's L1, or the PE itself in stream-buffer mode)
-        # and the clock that converts the stall.
+        # and the clock period that converts the stall it returns.
         self._mem_access = accel.memory.access
         self._mem_port = pe_id if cfg.memory == MEMORY_STREAM else self.tile_id
         self._period_ns = cfg.clock.period_ns
-        self._ns_to_cycles = cfg.clock.ns_to_cycles
         self._busy_since: Optional[int] = None
         # Engine process handle, set by the accelerator when it starts the
         # PE; the park registry needs it to resume a parked loop.
@@ -360,8 +360,7 @@ class ProcessingElement:
                 "operation stream than the faulted one — pe_fault_retry "
                 "requires idempotent workers"
             )
-        if not accel.allow_dynamic and (ctx.spawned or any(
-                isinstance(op, SuccessorOp) for op in ctx.ops)):
+        if not accel.allow_dynamic and (ctx.spawned or ctx.successors):
             raise ProtocolError(
                 "LiteArch workers cannot spawn tasks or create successors "
                 f"(task {task.task_type!r})"
@@ -383,7 +382,8 @@ class ProcessingElement:
         scratchpad_local = accel.scratchpad_local
         # Dispatch on the record's class, the two per-op kinds first.
         # Compute and stall Timeouts come from the by-delay table
-        # (_timeout, inline).
+        # (_timeout, inline); a stall converts to whole cycles as
+        # ClockDomain.ns_to_cycles does, with the bound period.
         for op in ctx.ops:
             cls = op.__class__
             if cls is ComputeOp:
@@ -397,9 +397,9 @@ class ProcessingElement:
                 if op.scratchpad and scratchpad_local:
                     continue  # worker-local BRAM, absorbed by the pipeline
                 stall_ns = access(port, op.addr, op.nbytes, op.is_write,
-                                  engine.now * period_ns).stall_ns
+                                  engine.now * period_ns)
                 if stall_ns > 0.0:
-                    stall = self._ns_to_cycles(stall_ns)
+                    stall = ceil(stall_ns / period_ns - 1e-9)
                     if stall:
                         stats.mem_stall_cycles += stall
                         if tel is not None:

@@ -23,9 +23,9 @@ While a steal-capable PE is parked, every queue it could probe is empty
 *would* have run is a guaranteed-failed steal whose timing and victim
 pick are pure arithmetic.  On wakeup the registry replays that virtual
 timeline from the anchor — drawing the same victims from the PE's
-scheduler (``pe.sched``, including each miss observation the policy
-would have made; see the determinism contract in ``repro/sched/base.py``),
-charging the same ``steal_attempts`` and network counters, walking the
+scheduler (``pe.sched.replay_misses``, including each miss observation
+the policy would have made; see the determinism contract in
+``repro/sched/base.py``), charging the same ``steal_attempts`` and network counters, walking the
 same request/response/backoff cadence — up to the waking event, then
 re-enters real execution at the first virtual event that would have run
 at-or-after it.  The resume is inserted with its *virtual* scheduling
@@ -297,72 +297,22 @@ class ParkRegistry:
                        ) -> _Plan:
         """Replay a stealing PE's failed-poll timeline up to the wakeup.
 
-        Every virtual loop-top strictly before the waking event found the
-        local queue empty and launched a steal destined to fail; its
-        policy pick (``pe.sched.pick_victim``), the policy's miss
-        observation (``note_steal(victim, 0, 0)`` — an empty queue's
-        response) and its statistics are charged here exactly as the
-        polling loop would have.  The PE re-enters real execution either
-        at a loop-top boundary (value ``None``) or mid-attempt at the
-        victim-probe tick (value = the already-drawn victim id),
-        whichever comes first at-or-after the waking event.
+        The PE's scheduler replays the attempts
+        (:meth:`~repro.sched.base.PEScheduler.replay_misses`: the picks,
+        the policy's miss observations, the network counters and the
+        telemetry); this charges the PE's attempt count and turns the
+        replayed event times into the chain history the tie order reads.
         """
         pe = rec.pe
         accel = self.accel
-        net = accel.net
-        tel = accel.telemetry
         sched = pe.sched
-        # Per attempt, only the policy draw, its miss observation and the
-        # network's two latency calls (which also count the messages) carry
-        # the model; everything else is resolved once here.
-        pick_victim = sched.pick_victim
-        note_steal = sched.note_steal
-        request_latency = net.steal_request_latency
-        response_latency = net.steal_response_latency
-        victim_tiles = self._victim_tiles
-        backoff = accel.config.steal_backoff_cycles
-        thief_tile = pe.tile_id
-        pe_id = pe.pe_id
-        f, s, p = rec.anchor, rec.s_at, rec.p_s_at
-        # Event times of the replayed cadence, newest first once reversed.
-        times: List[int] = [rec.anchor]
-        attempts = 0
-        while (f, s, p) < key:
-            victim = pick_victim()
-            attempts += 1
-            victim_tile = victim_tiles[victim]
-            # Replayed attempts are emitted with their *virtual*
-            # timestamps so the recorded steal timeline matches the
-            # polling execution (exports sort by timestamp).
-            if tel is not None:
-                hops = 0 if victim_tile == thief_tile else 1
-                tel.steal_request(pe_id, victim, ts=f, hops=hops)
-            probe = f + request_latency(thief_tile, victim_tile)
-            times.append(probe)
-            if (probe, f, s) >= key:
-                # The victim-side probe lands at-or-after the waking event:
-                # run it for real — it may now see the new work.  Its
-                # steal-hit/miss event (and the policy's observation of
-                # the real response) is emitted by the real probe.  Each
-                # earlier attempt elided its loop-top, probe and
-                # NACK-then-backoff events; this one only its loop-top.
-                resume = (probe, f, s, victim, 3 * attempts - 2)
-                break
-            # The virtual probe found an empty queue: the policy sees
-            # the same miss response the polling loop would have.
-            note_steal(victim, 0, 0)
-            if tel is not None:
-                tel.steal_result(pe_id, victim, None, ts=probe, hops=hops,
-                                 count=0)
-            nack = probe + response_latency(thief_tile, victim_tile)
-            f, s, p = nack + backoff, nack, probe
-            times += (nack, f)
-        else:
-            resume = (f, s, p, None, 3 * attempts)
+        resume, attempts, times = sched.replay_misses(
+            accel.net, self._victim_tiles, accel.config.steal_backoff_cycles,
+            (rec.anchor, rec.s_at, rec.p_s_at), key, accel.telemetry)
         if sched.counts_steals:
             pe.stats.steal_attempts += attempts
         times.reverse()
-        times += [rec.s_at, rec.p_s_at]
+        times += (rec.s_at, rec.p_s_at)
         return _Plan(*resume, _list_chain(times))
 
     @cached_property

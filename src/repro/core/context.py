@@ -108,6 +108,8 @@ class WorkerContext:
         self._alloc_successor = alloc_successor
         self.ops: List[Op] = []
         self.spawned: List[Task] = []
+        #: Successors created (``make_successor`` calls).
+        self.successors = 0
         self.sent_args: List[SendArgOp] = []
         self.compute_cycles = 0
 
@@ -143,6 +145,7 @@ class WorkerContext:
         """
         cont = self._alloc_successor(task_type, k, njoin, tuple(static_args))
         self.ops.append(SuccessorOp(cont, njoin))
+        self.successors += 1
         return cont
 
     # -- datapath ------------------------------------------------------

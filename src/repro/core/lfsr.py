@@ -58,11 +58,26 @@ class LFSR16:
         """Pick a victim PE id in ``[0, n)`` different from ``self_id``.
 
         Matches the hardware behaviour: draw from the other ``n - 1`` PEs so
-        a thief never targets itself.
+        a thief never targets itself.  The draw is ``pick(n - 1)`` with
+        :meth:`next` and :meth:`pick` run inline, because every steal
+        attempt (and every replayed one, ``repro/sched/random.py``)
+        makes it; ``tests/core/test_lfsr.py`` pins it to those two.
         """
         if n < 2:
             raise ValueError("need at least two PEs to steal")
-        victim = self.pick(n - 1)
+        m = n - 1
+        span = m * (self.PERIOD // m)
+        state = self.state
+        draws = 1 + self.MAX_REDRAWS
+        while True:
+            state = (state >> 1) | (
+                ((state ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 1)
+                << 15)
+            draws -= 1
+            if state <= span or not draws:
+                break
+        self.state = state
+        victim = state % m
         if victim >= self_id:
             victim += 1
         return victim

@@ -17,6 +17,7 @@ decrement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.arch.network import NetworkStats
 
@@ -68,3 +69,14 @@ class SoftwareRuntimeNetwork:
     def steal_response_latency(self, thief_tile: int, victim_tile: int) -> int:
         self.steal_stats.remote_messages += 1
         return self.costs.steal_response_cycles
+
+    def steal_latencies(self, local: bool) -> Tuple[int, int]:
+        """``(request, response)`` cycles of a steal, local or not."""
+        return self.costs.steal_request_cycles, self.costs.steal_response_cycles
+
+    def count_steal_messages(self, requests: int, local: int,
+                             remote: int) -> None:
+        """Bulk message counts; every software steal message is remote."""
+        stats = self.steal_stats
+        stats.steal_requests += requests
+        stats.remote_messages += local + remote

@@ -7,12 +7,7 @@ MOESI snooping protocol, over a DRAM channel with bounded bandwidth.
 """
 
 from repro.mem.cache import Cache, CacheStats, State
-from repro.mem.coherence import (
-    AccessResult,
-    CoherenceDomain,
-    DomainStats,
-    MemLatencies,
-)
+from repro.mem.coherence import CoherenceDomain, DomainStats, MemLatencies
 from repro.mem.dma import DmaMemory
 from repro.mem.dram import DRAM, DRAMStats
 from repro.mem.hierarchy import (
@@ -27,7 +22,6 @@ __all__ = [
     "Cache",
     "CacheStats",
     "State",
-    "AccessResult",
     "CoherenceDomain",
     "DomainStats",
     "MemLatencies",

@@ -47,15 +47,6 @@ class MemLatencies:
 
 
 @dataclass
-class AccessResult:
-    """Outcome of a (possibly multi-line) memory access."""
-
-    stall_ns: float = 0.0
-    line_hits: int = 0
-    line_misses: int = 0
-
-
-@dataclass
 class DomainStats:
     c2c_transfers: int = 0
     upgrades: int = 0
@@ -91,6 +82,7 @@ class CoherenceDomain:
         prefetch: bool = True,
         line_size: int = 64,
         l2_bandwidth_gbps: Optional[float] = 32.0,
+        l1_port_interval_ns: float = 0.0,
     ) -> None:
         first = l1s[0]
         for l1 in l1s:
@@ -108,9 +100,16 @@ class CoherenceDomain:
         self.lat = latencies
         self.prefetch = prefetch
         self.line_size = line_size
-        # Shared-L2 port bandwidth (GB/s == bytes/ns); None = unlimited.
-        self.l2_bytes_per_ns = l2_bandwidth_gbps
+        # Port time of one line at the shared L2, from its bandwidth
+        # (GB/s == bytes/ns); None = unlimited.
+        self._l2_service_ns = (None if l2_bandwidth_gbps is None
+                               else line_size / l2_bandwidth_gbps)
         self._l2_next_free = 0.0
+        #: Per-L1 port serialisation (ns per line; 0 = none), as
+        #: ``MemConfig.l1_port_interval_ns``, and each port's next free
+        #: time.
+        self.l1_port_interval_ns = l1_port_interval_ns
+        self._l1_port_free = [0.0] * len(l1s)
         self.stats = DomainStats()
         self._l1_set_index = first.set_index
         self._l1_num_sets = first.num_sets
@@ -130,8 +129,10 @@ class CoherenceDomain:
         nbytes: int,
         is_write: bool,
         now_ns: float,
-    ) -> AccessResult:
-        """Perform an access from L1 ``requester``; returns stall/hit info.
+    ) -> float:
+        """Perform an access from L1 ``requester``; returns its stall in
+        ns.  Its line hits and misses count in the requester's
+        :class:`~repro.mem.cache.CacheStats`.
 
         All lines of one access are issued together (the worker's memory
         port streams a block with full memory-level parallelism), so the
@@ -140,6 +141,10 @@ class CoherenceDomain:
         long burst's last line naturally queues behind the earlier ones.
         Dependent accesses (e.g. spmv's x gathers) are separate ops and
         therefore still serialise against each other.
+
+        With a nonzero ``l1_port_interval_ns`` the stall also includes
+        the wait for the requester's L1 port, which each line of the
+        access then holds for that long.
         """
         if nbytes <= 0:
             raise ValueError(f"access must cover at least one byte: {nbytes}")
@@ -195,7 +200,13 @@ class CoherenceDomain:
         else:
             stats.read_hits += hits
             stats.read_misses += misses
-        return AccessResult(max_stall, hits, misses)
+        interval = self.l1_port_interval_ns
+        if interval:
+            port_free = self._l1_port_free
+            start = max(now_ns, port_free[requester])
+            port_free[requester] = start + interval * (hits + misses)
+            max_stall += start - now_ns
+        return max_stall
 
     # ------------------------------------------------------------------
     def _fetch_line(self, requester: int, l1: Cache, line: int, index: int,
@@ -280,8 +291,8 @@ class CoherenceDomain:
         the shared L2 port (none when its bandwidth is unlimited).
         """
         queue_ns = 0.0
-        if self.l2_bytes_per_ns is not None:
-            service = self.line_size / self.l2_bytes_per_ns
+        service = self._l2_service_ns
+        if service is not None:
             start = max(now_ns, self._l2_next_free)
             self._l2_next_free = start + service
             queue_ns = start - now_ns

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.mem.coherence import AccessResult
 from repro.mem.dram import DRAM
 from repro.mem.memory import LINE_SIZE
 
@@ -49,8 +48,9 @@ class DmaMemory:
         self.bytes_moved = 0
 
     def access(self, requester: int, addr: int, nbytes: int, is_write: bool,
-               now_ns: float) -> AccessResult:
-        """One worker memory op = one DMA burst on ``requester``'s engine."""
+               now_ns: float) -> float:
+        """One worker memory op = one DMA burst on ``requester``'s engine;
+        returns the PE's stall in ns (none for a posted write)."""
         if nbytes <= 0:
             raise ValueError(f"access must cover at least one byte: {nbytes}")
         engine_start = max(now_ns, self._engine_free[requester])
@@ -60,13 +60,12 @@ class DmaMemory:
         self._engine_free[requester] = busy_until
         self.bursts += 1
         self.bytes_moved += nbytes
-        lines = max(1, (nbytes + self.line_size - 1) // self.line_size)
         if is_write:
             # Posted: the engine drains the burst while the PE continues.
             self.write_bursts += 1
-            return AccessResult(0.0, lines, 0)
+            return 0.0
         self.read_bursts += 1
-        return AccessResult(busy_until - now_ns, 0, lines)
+        return busy_until - now_ns
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -161,7 +161,9 @@ class RunLedger:
     # -- reading --------------------------------------------------------
     def entries(self, limit: Optional[int] = None) -> List[Dict]:
         """All readable entries in file order (corrupt lines skipped);
-        ``limit`` keeps only the newest N."""
+        ``limit`` keeps only the newest N (none for 0)."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         try:
             lines = self.path.read_text(encoding="utf-8").splitlines()
         except OSError:
@@ -175,7 +177,7 @@ class RunLedger:
             if isinstance(entry, dict) and "digest" in entry:
                 out.append(entry)
         if limit is not None:
-            out = out[-limit:]
+            out = out[max(len(out) - limit, 0):]
         return out
 
     def estimate_seconds(self, window: int = 200) -> Optional[float]:
@@ -185,9 +187,10 @@ class RunLedger:
         attempts are excluded — they measure a fault (a timeout budget,
         a mid-job kill), not a job's cost — as are manifest-resumed
         completions, which did not simulate at all."""
-        timed = [e["run_seconds"] for e in self.entries(window)
+        timed = [e["run_seconds"] for e in self.entries()
                  if not e.get("cached") and not e.get("retried")
                  and not e.get("resumed") and e.get("run_seconds")]
+        timed = timed[max(len(timed) - window, 0):]
         if not timed:
             return None
         return sum(timed) / len(timed)

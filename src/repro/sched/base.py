@@ -35,13 +35,18 @@ only on the PE's scheduling LFSR and on observations delivered through
 consumers rely on this:
 
 * The parked-PE wakeup scheduler (``repro/arch/wakeup.py``) *replays*
-  the picks a parked PE would have made while every queue was empty —
-  calling ``pick_victim`` then ``note_steal(victim, 0, 0)`` for each
-  elided attempt — so the policy state after a park/wake cycle is
+  the picks a parked PE would have made while every queue was empty,
+  through :meth:`PEScheduler.replay_misses`.  The base loop calls
+  ``pick_victim`` then ``note_steal(victim, 0, 0)`` for each elided
+  attempt, so the policy state after a park/wake cycle is
   bit-identical to the polling execution.  A policy whose state could
   be mutated by *other* components while its PE is parked would break
   that replay; hence occupancy hints ride only on this PE's own steal
-  responses (see ``repro/sched/occupancy.py``).
+  responses (see ``repro/sched/occupancy.py``).  A policy may override
+  ``replay_misses`` only with a loop that leaves the same LFSR state,
+  attempt count, network counters, resume point and event times;
+  ``random``'s does, drawing straight from the LFSR because its
+  ``note_steal`` is the base no-op (``tests/sched/test_replay.py``).
 * The fault plan (``repro.resil``) draws from its own LFSR stream, and
   policies draw victims from the scheduling LFSR only — attaching a
   zero-rate plan under any policy is bit-identical to no plan
@@ -50,7 +55,7 @@ consumers rely on this:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.lfsr import default_seed
 
@@ -117,6 +122,72 @@ class PEScheduler:
     def note_drop(self, victim_id: int) -> None:
         """The steal request to ``victim_id`` was lost in flight (an
         injected fault): no response, so nothing was observed."""
+
+    # -- parked-PE steal replay ------------------------------------------
+    def replay_misses(self, net, victim_tiles: Sequence[int], backoff: int,
+                      start: Tuple[int, int, int], key: Tuple[int, int, int],
+                      tel=None) -> Tuple[tuple, int, List[int]]:
+        """Replay the failed steals of this PE, parked at the loop-top
+        event ``start`` = ``(time, s_at, p_s_at)``, up to the waking
+        event ``key`` (``repro/arch/wakeup.py``).
+
+        Every virtual loop-top strictly before ``key`` found the local
+        queue empty and launched a steal destined to fail: its pick, the
+        policy's miss observation (``note_steal(victim, 0, 0)``, an empty
+        queue's response), the network's latencies and message counts
+        and the telemetry ``tel`` records are charged here exactly as the
+        polling loop would have.  ``victim_tiles`` maps victim ids to
+        tiles and ``backoff`` is ``steal_backoff_cycles``.
+
+        Returns ``(resume, attempts, times)``.  ``resume`` is ``(time,
+        s_at, p_s_at, value, elided)``: the PE re-enters real execution
+        at a loop-top (value ``None``) or mid-attempt at the victim-probe
+        tick (value = the victim already drawn), whichever comes first
+        at-or-after ``key``, and ``elided`` counts the engine events the
+        replay stood in for.  ``attempts`` counts the draws and ``times``
+        lists the replayed events' times, oldest (``start``'s) first.
+
+        This loop serves every policy.  A policy whose misses leave no
+        state but the LFSR may override it with a flatter one that
+        charges the same (``RandomScheduler``).
+        """
+        pick_victim = self.pick_victim
+        note_steal = self.note_steal
+        request_latency = net.steal_request_latency
+        response_latency = net.steal_response_latency
+        thief_tile = self.tile_id
+        pe_id = self.pe_id
+        f, s, p = start
+        times = [f]
+        attempts = 0
+        while (f, s, p) < key:
+            victim = pick_victim()
+            attempts += 1
+            victim_tile = victim_tiles[victim]
+            # Replayed attempts are emitted with their *virtual*
+            # timestamps so the recorded steal timeline matches the
+            # polling execution (exports sort by timestamp).
+            if tel is not None:
+                hops = 0 if victim_tile == thief_tile else 1
+                tel.steal_request(pe_id, victim, ts=f, hops=hops)
+            probe = f + request_latency(thief_tile, victim_tile)
+            times.append(probe)
+            if (probe, f, s) >= key:
+                # The victim-side probe lands at-or-after the waking
+                # event: run it for real — it may now see the new work.
+                # Its steal-hit/miss event (and the policy's observation
+                # of the real response) is emitted by the real probe.
+                # Each earlier attempt elided its loop-top, probe and
+                # NACK-then-backoff events; this one only its loop-top.
+                return (probe, f, s, victim, 3 * attempts - 2), attempts, times
+            note_steal(victim, 0, 0)
+            if tel is not None:
+                tel.steal_result(pe_id, victim, None, ts=probe, hops=hops,
+                                 count=0)
+            nack = probe + response_latency(thief_tile, victim_tile)
+            f, s, p = nack + backoff, nack, probe
+            times += (nack, f)
+        return (f, s, p, None, 3 * attempts), attempts, times
 
 
 class SchedulingPolicy:

@@ -50,6 +50,21 @@ def test_make_successor_returns_valid_continuation(ctx):
     assert ctx.ops[0].njoin == 2
 
 
+def test_successors_counts_make_successor_calls(ctx):
+    """The count LiteArch's no-successor check reads instead of scanning
+    the op stream: one per created successor, none for other ops."""
+    assert ctx.successors == 0
+    ctx.compute(3)
+    ctx.spawn(make_task("LEAF", HOST_CONTINUATION))
+    ctx.send_arg(HOST_CONTINUATION, 1)
+    assert ctx.successors == 0
+    k = ctx.make_successor("SUM", HOST_CONTINUATION, 2)
+    ctx.make_successor("SUM", k, 1)
+    assert ctx.successors == 2
+    assert ctx.successors == sum(isinstance(op, SuccessorOp)
+                                 for op in ctx.ops)
+
+
 def test_compute_accumulates(ctx):
     ctx.compute(5)
     ctx.compute(0)  # zero-cost compute records nothing

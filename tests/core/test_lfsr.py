@@ -117,3 +117,40 @@ def test_pick_victim_in_range(n, self_id):
         victim = lfsr.pick_victim(n, self_id)
         assert 0 <= victim < n
         assert victim != self_id
+
+
+def _composed_pick_victim(lfsr, n, self_id):
+    """``pick_victim`` written through ``pick`` and ``next``."""
+    victim = lfsr.pick(n - 1)
+    return victim + 1 if victim >= self_id else victim
+
+
+@given(st.integers(min_value=1, max_value=0xFFFF),
+       st.integers(min_value=2, max_value=40001),
+       st.integers(min_value=0, max_value=40000))
+def test_inline_pick_victim_is_pick_of_the_others(seed, n, self_id):
+    """The inline draw returns and leaves what ``pick(n - 1)`` does, also
+    when the redraw cap fires (victim counts near the period)."""
+    self_id %= n
+    inline, composed = LFSR16(seed), LFSR16(seed)
+    for _ in range(40):
+        assert (inline.pick_victim(n, self_id)
+                == _composed_pick_victim(composed, n, self_id))
+        assert inline.state == composed.state
+
+
+def test_inline_pick_victim_hits_the_redraw_cap():
+    """Over a full period of draws with n - 1 = 40000, some draw uses all
+    four states (three redraws) and the two forms still agree."""
+    inline, composed = LFSR16(1), LFSR16(1)
+    longest = 0
+    for _ in range(LFSR16.PERIOD // 4):
+        before = composed.state
+        assert (inline.pick_victim(40001, 0)
+                == _composed_pick_victim(composed, 40001, 0))
+        steps, probe = 0, LFSR16(before)
+        while probe.state != composed.state:
+            probe.next()
+            steps += 1
+        longest = max(longest, steps)
+    assert longest == 1 + LFSR16.MAX_REDRAWS

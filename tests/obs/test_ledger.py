@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.exec import JobRunner, ResultCache, make_spec
 from repro.obs.ledger import (
     RunLedger,
@@ -56,6 +58,16 @@ def test_entries_limit_keeps_newest(tmp_path):
     assert [e["digest"] for e in ledger.entries(limit=2)] == ["3", "4"]
 
 
+def test_entries_limit_zero_keeps_none(tmp_path):
+    ledger = RunLedger(tmp_path)
+    for i in range(3):
+        ledger.append({"digest": str(i)})
+    assert ledger.entries(limit=0) == []
+    assert [e["digest"] for e in ledger.entries(limit=5)] == ["0", "1", "2"]
+    with pytest.raises(ValueError, match="limit must be >= 0, got -1"):
+        ledger.entries(limit=-1)
+
+
 def test_entries_empty_when_missing(tmp_path):
     assert RunLedger(tmp_path / "nope").entries() == []
     assert RunLedger(tmp_path / "nope").estimate_seconds() is None
@@ -102,6 +114,20 @@ def test_estimate_seconds_ignores_cached(tmp_path):
     ledger.append({"digest": "b", "cached": True, "run_seconds": 0.0})
     ledger.append({"digest": "c", "cached": False, "run_seconds": 4.0})
     assert ledger.estimate_seconds() == 3.0
+
+
+def test_estimate_seconds_windows_executed_entries(tmp_path):
+    """The window counts executed entries, not entries: five timed jobs
+    followed by 200 cache hits still give their mean, and the window
+    keeps only the newest executed ones."""
+    ledger = RunLedger(tmp_path)
+    for seconds in (1.0, 1.0, 1.5, 2.0, 2.0):
+        ledger.append({"digest": "run", "cached": False,
+                       "run_seconds": seconds})
+    for _ in range(200):
+        ledger.append({"digest": "hit", "cached": True, "run_seconds": 0.0})
+    assert ledger.estimate_seconds() == 1.5
+    assert ledger.estimate_seconds(window=2) == 2.0
 
 
 def test_slowest_jobs_query():
