@@ -37,7 +37,7 @@ from repro.core.exceptions import (
     DeadlockError,
     TaskQueueOverflowError,
 )
-from repro.core.task import Continuation, Task
+from repro.core.task import HOST, Continuation, Task
 from repro.mem.hierarchy import MemoryHierarchy, PerfectMemory, StreamBufferMemory
 from repro.sched import make_policy
 from repro.kernel import Timeout, make_engine
@@ -342,17 +342,25 @@ class FlexAccelerator(BaseAccelerator):
         return tasks, len(deque)
 
     # -- P-Store services -------------------------------------------------
-    def alloc_successor(self, pe_id: int, task_type: str, k: Continuation,
-                        njoin: int, static_args) -> Continuation:
-        tile = 0 if self.config.central_pstore else self.config.tile_of(pe_id)
+    def alloc_successor(self, pe_id: int, tile: int, task_type: str,
+                        k: Continuation, njoin: int,
+                        static_args) -> Continuation:
+        """Allocate a pending entry in the P-Store of ``tile``, the
+        creating PE's tile (its ``tile_id``), or in the one central store
+        under ``central_pstore``."""
+        if self.config.central_pstore:
+            tile = 0
         cont = self.pstores[tile].alloc(
             task_type, k, njoin, static_args, creator_pe=pe_id
         )
         self.add_work()  # the pending entry
         return cont
 
-    def send_arg(self, pe_id: int, cont: Continuation, value) -> None:
+    def send_arg(self, pe_id: int, from_tile: int, cont: Continuation,
+                 value) -> None:
         """Route an argument message (fire-and-forget from the PE).
+
+        ``from_tile`` is the sending PE's tile (its ``tile_id``).
 
         With a fault plan attached, a P-Store-bound message may be
         dropped, duplicated or delayed in the argument network (host
@@ -364,8 +372,7 @@ class FlexAccelerator(BaseAccelerator):
         duplicate delivery trips the P-Store's double-write check.
         """
         self.add_work()  # the in-flight argument
-        from_tile = self.config.tile_of(pe_id)
-        if cont.is_host:
+        if cont.owner == HOST:
             latency = self.config.net_hop_cycles
             self.engine.schedule(
                 latency, lambda: self._deliver_host(cont, value)
@@ -395,7 +402,8 @@ class FlexAccelerator(BaseAccelerator):
                     self.telemetry.recovery("arg-retransmit", pe=pe_id)
                 self.engine.schedule(
                     latency + self.config.arg_retransmit_cycles + retrans,
-                    lambda: self._deliver_arg(pe_id, cont, value, local),
+                    lambda: self._deliver_arg(pe_id, from_tile, cont,
+                                              value, local),
                 )
                 return
             if kind == "dup":
@@ -404,13 +412,13 @@ class FlexAccelerator(BaseAccelerator):
                 dup_latency = self.net.arg_latency(from_tile, cont.owner)
                 self.add_work()  # the duplicate in flight
                 self.engine.schedule(
-                    latency, lambda: self._deliver_arg(pe_id, cont, value,
-                                                       local)
+                    latency, lambda: self._deliver_arg(pe_id, from_tile,
+                                                       cont, value, local)
                 )
                 self.engine.schedule(
                     latency + dup_latency,
-                    lambda: self._deliver_arg(pe_id, cont, value, local,
-                                              duplicate=True),
+                    lambda: self._deliver_arg(pe_id, from_tile, cont, value,
+                                              local, duplicate=True),
                 )
                 return
             # Delayed in the network: absorbed by the asynchronous
@@ -418,7 +426,8 @@ class FlexAccelerator(BaseAccelerator):
             latency += extra
             self.faults.note_recovery(ARG_DELAY)
         self.engine.schedule(
-            latency, lambda: self._deliver_arg(pe_id, cont, value, local)
+            latency,
+            lambda: self._deliver_arg(pe_id, from_tile, cont, value, local),
         )
 
     def _deliver_host(self, cont: Continuation, value) -> None:
@@ -436,8 +445,9 @@ class FlexAccelerator(BaseAccelerator):
         self.pstores[cont.owner].rollback(cont.entry)
         self.sub_work()  # the pending entry's work unit
 
-    def _deliver_arg(self, producer_pe: int, cont: Continuation, value,
-                     local: bool, duplicate: bool = False) -> None:
+    def _deliver_arg(self, producer_pe: int, producer_tile: int,
+                     cont: Continuation, value, local: bool,
+                     duplicate: bool = False) -> None:
         if duplicate and self.config.arg_retransmit:
             # Sequence-number dedup at the P-Store ingress: the duplicate
             # is recognised and discarded before touching the entry.
@@ -456,7 +466,15 @@ class FlexAccelerator(BaseAccelerator):
         # double-write check or (entry already readied) the unallocated-
         # entry check in the functional table — loud, never silent.
         pstore = self.pstores[cont.owner]
-        creator_pe = pstore.table.entry(cont.entry).creator
+        # Greedy scheduling: route the readied task back to the PE that
+        # produced the last argument (Section III-A).  The non-greedy
+        # ablation returns it to the entry's creator instead, read before
+        # the delivery can free the entry.
+        if self.config.greedy:
+            target_pe, target_tile = producer_pe, producer_tile
+        else:
+            target_pe = pstore.table.entry(cont.entry).creator
+            target_tile = self.config.tile_of(target_pe)
         ready = pstore.deliver(cont, value, local)
         if self.telemetry is not None:
             self.telemetry.arg_delivered(cont, ready, local)
@@ -466,11 +484,6 @@ class FlexAccelerator(BaseAccelerator):
         # Argument consumed (-1) and pending entry resolved (-1), but a
         # ready task is now in flight (+1): net -1.
         self.sub_work()
-        # Greedy scheduling: route the readied task back to the PE that
-        # produced the last argument (Section III-A).  The non-greedy
-        # ablation returns it to the entry's creator instead.
-        target_pe = producer_pe if self.config.greedy else creator_pe
-        target_tile = self.config.tile_of(target_pe)
         latency = self.net.task_return_latency(cont.owner, target_tile)
         self.engine.schedule(
             latency,

@@ -93,10 +93,11 @@ class LiteAccelerator(BaseAccelerator):
     def steal_from(self, victim_id: int) -> Optional[Task]:
         raise ProtocolError("LiteArch has no work-stealing network")
 
-    def alloc_successor(self, pe_id, task_type, k, njoin, static_args):
+    def alloc_successor(self, pe_id, tile, task_type, k, njoin, static_args):
         raise ProtocolError("LiteArch PEs cannot create pending tasks")
 
-    def send_arg(self, pe_id: int, cont: Continuation, value) -> None:
+    def send_arg(self, pe_id: int, from_tile: int, cont: Continuation,
+                 value) -> None:
         """LiteArch results go back to the host over the task network."""
         if not cont.is_host:
             raise ProtocolError(

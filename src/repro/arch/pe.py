@@ -86,15 +86,6 @@ class TaskManagementUnit:
             capacity=capacity, name=f"tmu{pe_id}"
         )
 
-    def push_tail(self, task: Task) -> None:
-        self.deque.push_tail(task)
-
-    def pop_tail(self) -> Optional[Task]:
-        return self.deque.pop_tail()
-
-    def steal_head(self) -> Optional[Task]:
-        return self.deque.steal_head()
-
     @property
     def high_water(self) -> int:
         return self.deque.high_water
@@ -111,6 +102,7 @@ class ProcessingElement:
         self.worker = worker
         self.steal_enabled = steal_enabled
         self.tmu = TaskManagementUnit(pe_id, accel.config.task_queue_entries)
+        self._push_tail = self.tmu.deque.push_tail
         # Per-PE scheduling state (victim selection + the scheduling
         # LFSR), built by the accelerator's policy (repro.sched).
         self.sched = accel.sched_policy.scheduler_for(self)
@@ -291,7 +283,8 @@ class ProcessingElement:
         """
         accel = self.accel
         cfg = self.config
-        hops = self._hops(victim_id)
+        victim_tile = accel.victim_tile(victim_id)
+        hops = 0 if victim_tile == self.tile_id else 1
         tasks, depth_after = accel.steal_from(victim_id)
         self.sched.note_steal(victim_id, len(tasks), depth_after)
         if accel.telemetry is not None:
@@ -300,7 +293,7 @@ class ProcessingElement:
                 hops=hops, count=len(tasks),
             )
         response = accel.net.steal_response_latency(
-            self.tile_id, accel.victim_tile(victim_id)
+            self.tile_id, victim_tile
         ) + extra
         if len(tasks) > 1:
             response += (len(tasks) - 1) * cfg.queue_op_cycles
@@ -316,7 +309,7 @@ class ProcessingElement:
         for surplus in tasks[1:]:
             if accel.telemetry is not None:
                 accel.telemetry.task_enqueued(self.pe_id, surplus)
-            self.tmu.push_tail(surplus)
+            self._push_tail(surplus)
         return tasks[0]
 
     # ------------------------------------------------------------------
@@ -432,7 +425,7 @@ class ProcessingElement:
                     )
                     continue
                 try:
-                    self.tmu.push_tail(op.task)
+                    self._push_tail(op.task)
                 except TaskQueueOverflowError as exc:
                     if not self.config.spawn_overflow_inline:
                         raise TaskQueueOverflowError(
@@ -454,7 +447,7 @@ class ProcessingElement:
                 yield self._t_arg_issue  # arg_out issue
                 if tel is not None:
                     tel.arg_sent(self.pe_id, op.cont)
-                accel.send_arg(self.pe_id, op.cont, op.value)
+                accel.send_arg(self.pe_id, self.tile_id, op.cont, op.value)
         if outermost:
             stats.busy_cycles += engine.now - start
         if tel is not None:
@@ -553,7 +546,7 @@ class ProcessingElement:
 
     def _alloc_successor(self, task_type, k, njoin, static_args):
         cont = self.accel.alloc_successor(
-            self.pe_id, task_type, k, njoin, static_args
+            self.pe_id, self.tile_id, task_type, k, njoin, static_args
         )
         if self._attempt_allocs is not None:
             self._attempt_allocs.append(cont)

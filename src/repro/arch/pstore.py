@@ -108,7 +108,7 @@ class HardwarePStore:
             err.creator_pe = creator_pe
             raise err from exc
         self.stats.allocs += 1
-        self.stats.high_water = max(self.stats.high_water, len(self.table))
+        self.stats.high_water = self.table.high_water
         if self.telemetry is not None:
             self.telemetry.pstore_alloc(self.tile_id, cont.entry,
                                         task_type, creator_pe)

@@ -107,10 +107,10 @@ class WorkerContext:
         self.pe_id = pe_id
         self._alloc_successor = alloc_successor
         self.ops: List[Op] = []
-        self.spawned: List[Task] = []
+        #: Children spawned (``spawn`` calls).
+        self.spawned = 0
         #: Successors created (``make_successor`` calls).
         self.successors = 0
-        self.sent_args: List[SendArgOp] = []
         self.compute_cycles = 0
 
     # -- task_out ------------------------------------------------------
@@ -119,14 +119,12 @@ class WorkerContext:
         if not isinstance(task, Task):
             raise ProtocolError(f"spawn expects a Task, got {task!r}")
         self.ops.append(SpawnOp(task))
-        self.spawned.append(task)
+        self.spawned += 1
 
     # -- arg_out -------------------------------------------------------
     def send_arg(self, cont: Continuation, value) -> None:
         """Send a return value to the pending task ``cont`` points at."""
-        op = SendArgOp(cont, value)
-        self.ops.append(op)
-        self.sent_args.append(op)
+        self.ops.append(SendArgOp(cont, value))
 
     # -- cont_req / cont_resp ------------------------------------------
     def make_successor(
@@ -143,7 +141,7 @@ class WorkerContext:
         ``0..njoin-1``); ``static_args`` are appended after the joined
         values.
         """
-        cont = self._alloc_successor(task_type, k, njoin, tuple(static_args))
+        cont = self._alloc_successor(task_type, k, njoin, static_args)
         self.ops.append(SuccessorOp(cont, njoin))
         self.successors += 1
         return cont
@@ -154,8 +152,9 @@ class WorkerContext:
         if cycles < 0:
             raise ProtocolError(f"negative compute cycles: {cycles}")
         if cycles:
-            self.ops.append(ComputeOp(int(cycles)))
-            self.compute_cycles += int(cycles)
+            cycles = int(cycles)
+            self.ops.append(ComputeOp(cycles))
+            self.compute_cycles += cycles
 
     # -- memory port ---------------------------------------------------
     def read(self, addr: int, nbytes: int = 4, scratchpad: bool = False) -> None:

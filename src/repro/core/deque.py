@@ -45,15 +45,17 @@ class WorkStealingDeque(Generic[T]):
 
     def push_tail(self, item: T) -> None:
         """Owner enqueues a task (newly spawned or newly readied)."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
+        items = self._items
+        depth = len(items)  # before the push
+        if self.capacity is not None and depth >= self.capacity:
             raise TaskQueueOverflowError(
                 f"task queue {self.name!r} overflow (capacity {self.capacity})"
             )
-        self._items.append(item)
+        items.append(item)
         self.pushes += 1
-        if len(self._items) > self.high_water:
-            self.high_water = len(self._items)
-        if len(self._items) == 1 and self.observer is not None:
+        if depth >= self.high_water:
+            self.high_water = depth + 1
+        if not depth and self.observer is not None:
             self.observer.deque_became_nonempty(self)
 
     def _took(self, item: T) -> T:
@@ -63,8 +65,12 @@ class WorkStealingDeque(Generic[T]):
 
     def pop_tail(self) -> Optional[T]:
         """Owner dequeues its most recently pushed task (LIFO)."""
-        if self._items:
-            return self._took(self._items.pop())
+        items = self._items
+        if items:
+            item = items.pop()
+            if not items and self.observer is not None:
+                self.observer.deque_became_empty(self)
+            return item
         return None
 
     def pop_head(self) -> Optional[T]:

@@ -20,8 +20,12 @@ from typing import List, Optional, Tuple
 from repro.core.exceptions import PStoreFullError, ProtocolError
 from repro.core.task import Continuation, Task
 
+#: Marks an argument slot no delivery has written yet.  ``None`` is a
+#: legal argument value, so it cannot double as the marker.
+_UNWRITTEN = object()
 
-@dataclass
+
+@dataclass(slots=True)
 class PendingEntry:
     """One allocated P-Store entry (metadata + join counter + arg array)."""
 
@@ -44,13 +48,23 @@ class PendingTable:
         tile id for a hardware P-Store).
     capacity:
         Number of entries; ``None`` means unbounded (functional execution).
+
+    A bounded table hands out freed ids first, most recently freed first,
+    then the never-used ids counting down from ``capacity - 1``: the
+    order a ``list(range(capacity))`` free list popped at its tail gives,
+    without building that list (the CPU model's stores hold 65,536
+    entries each).  An unbounded table counts ids up and never reuses
+    them.
     """
 
     def __init__(self, owner: int, capacity: Optional[int] = None) -> None:
         self.owner = owner
         self.capacity = capacity
         self._entries: dict = {}
-        self._free: List[int] = list(range(capacity)) if capacity else []
+        #: Freed ids of a bounded table, reused last in, first out.
+        self._free: List[int] = []
+        #: Ids never handed out are ``0 .. _unused - 1``.
+        self._unused = capacity or 0
         self._next_id = 0
         self.high_water = 0
         self.alloc_count = 0
@@ -73,26 +87,25 @@ class PendingTable:
         """
         if njoin < 1:
             raise ProtocolError(f"pending task needs at least one join: {njoin}")
-        if self.capacity is not None:
-            if not self._free:
-                raise PStoreFullError(
-                    f"P-Store {self.owner} full ({self.capacity} entries)"
-                )
-            entry_id = self._free.pop()
-        else:
+        if self.capacity is None:
             entry_id = self._next_id
             self._next_id += 1
+        elif self._free:
+            entry_id = self._free.pop()
+        elif self._unused:
+            self._unused -= 1
+            entry_id = self._unused
+        else:
+            raise PStoreFullError(
+                f"P-Store {self.owner} full ({self.capacity} entries)"
+            )
         self._entries[entry_id] = PendingEntry(
-            task_type=task_type,
-            k=k,
-            njoin=njoin,
-            remaining=njoin,
-            args=[None] * njoin,
-            static_args=tuple(static_args),
-            creator=creator,
+            task_type, k, njoin, njoin, [_UNWRITTEN] * njoin,
+            tuple(static_args), creator,
         )
         self.alloc_count += 1
-        self.high_water = max(self.high_water, len(self._entries))
+        if len(self._entries) > self.high_water:
+            self.high_water = len(self._entries)
         return Continuation(self.owner, entry_id, 0)
 
     def deliver(self, cont: Continuation, value) -> Optional[Task]:
@@ -112,7 +125,7 @@ class PendingTable:
             raise ProtocolError(
                 f"slot {cont.slot} out of range for {entry.njoin}-join entry"
             )
-        if entry.args[cont.slot] is not None:
+        if entry.args[cont.slot] is not _UNWRITTEN:
             raise ProtocolError(f"slot {cont.slot} of {cont!r} written twice")
         entry.args[cont.slot] = value
         entry.remaining -= 1

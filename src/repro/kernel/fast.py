@@ -124,9 +124,13 @@ class FastEngine(SimKernel):
 
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` ``delay`` ticks from now."""
+        # A non-negative int is already valid; anything else is checked
+        # (and rejected, or converted) as everywhere else.
+        if delay.__class__ is not int or delay < 0:
+            delay = validated_delay(delay)
         self._seq += 1
         self._insert(
-            self.now + validated_delay(delay),
+            self.now + delay,
             (self.now, self._cur_s_at, self._seq, _CALL, fn, None),
         )
 

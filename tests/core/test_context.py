@@ -29,7 +29,8 @@ def test_spawn_records_op_and_task(ctx):
     task = make_task("T", HOST_CONTINUATION, 1)
     ctx.spawn(task)
     assert ctx.ops == [SpawnOp(task)]
-    assert ctx.spawned == [task]
+    assert ctx.ops[0].task is task
+    assert ctx.spawned == 1
 
 
 def test_spawn_requires_task(ctx):
@@ -40,7 +41,7 @@ def test_spawn_requires_task(ctx):
 def test_send_arg_recorded(ctx):
     ctx.send_arg(HOST_CONTINUATION, 42)
     assert ctx.ops == [SendArgOp(HOST_CONTINUATION, 42)]
-    assert ctx.sent_args[0].value == 42
+    assert ctx.ops[0].value == 42
 
 
 def test_make_successor_returns_valid_continuation(ctx):

@@ -102,3 +102,39 @@ def test_capacity_never_exceeded(capacity, pushes):
             break
     assert len(dq) <= capacity
     assert overflowed == (pushes > capacity)
+
+
+class _Transitions:
+    """Observer recording the deque's empty/non-empty notifications."""
+
+    def __init__(self):
+        self.events = []
+
+    def deque_became_nonempty(self, dq):
+        self.events.append("nonempty")
+
+    def deque_became_empty(self, dq):
+        self.events.append("empty")
+
+
+@given(st.lists(st.sampled_from(["push_tail", "pop_tail", "pop_head",
+                                 "steal_head", "steal_tail"]),
+                max_size=200))
+def test_observer_sees_each_empty_transition_once(ops):
+    """Exactly one notification per 0 -> 1 and per 1 -> 0 transition,
+    none otherwise (the parked-PE wakeup relies on both)."""
+    dq = WorkStealingDeque()
+    dq.observer = seen = _Transitions()
+    expected = []
+    for op in ops:
+        before = len(dq)
+        if op == "push_tail":
+            dq.push_tail(before)
+        else:
+            getattr(dq, op)()
+        after = len(dq)
+        if (before, after) == (0, 1):
+            expected.append("nonempty")
+        elif (before, after) == (1, 0):
+            expected.append("empty")
+        assert seen.events == expected

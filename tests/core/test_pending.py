@@ -1,6 +1,7 @@
 """Unit tests for pending-task (join counter) semantics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.exceptions import ProtocolError, PStoreFullError
 from repro.core.pending import PendingTable
@@ -41,6 +42,17 @@ def test_double_delivery_to_slot_rejected():
     table.deliver(cont, 1)
     with pytest.raises(ProtocolError):
         table.deliver(cont, 2)
+
+
+def test_none_argument_still_guards_its_slot():
+    """``None`` is a legal argument value, not a free slot: writing the
+    slot again must trip the double-write check, not ready the task."""
+    table = PendingTable(owner=0, capacity=4)
+    k = table.alloc("JOIN", HOST_CONTINUATION, 2)
+    assert table.deliver(k.with_slot(0), None) is None
+    with pytest.raises(ProtocolError, match="written twice"):
+        table.deliver(k.with_slot(0), 5)
+    assert table.deliver(k.with_slot(1), 5).args == (None, 5)
 
 
 def test_delivery_to_unallocated_entry_rejected():
@@ -100,3 +112,36 @@ def test_entry_lookup_missing():
     table = PendingTable(owner=0)
     with pytest.raises(ProtocolError):
         table.entry(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.lists(st.tuples(st.sampled_from(["alloc", "deliver", "free"]),
+                          st.integers(min_value=0, max_value=1000)),
+                max_size=120))
+def test_entry_ids_match_an_eager_free_list(capacity, steps):
+    """A bounded table hands out ids in the order of a
+    ``list(range(capacity))`` free list popped at its tail, with freed
+    ids pushed back; ``PStoreFullError`` fires exactly at capacity."""
+    table = PendingTable(owner=0, capacity=capacity)
+    free = list(range(capacity))
+    live = []
+    for action, pick in steps:
+        if action == "alloc":
+            if not free:
+                assert len(live) == capacity
+                with pytest.raises(PStoreFullError):
+                    table.alloc("T", HOST_CONTINUATION, 1)
+            else:
+                cont = table.alloc("T", HOST_CONTINUATION, 1)
+                assert cont.entry == free.pop()
+                live.append(cont.entry)
+        elif live:
+            entry = live.pop(pick % len(live))
+            if action == "deliver":
+                ready = table.deliver(Continuation(0, entry, 0), pick)
+                assert ready.args == (pick,)
+            else:  # rollback of a NACKed attempt
+                table.free(entry)
+            free.append(entry)
+        assert len(table) == len(live)

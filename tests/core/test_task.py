@@ -1,5 +1,8 @@
 """Unit tests for task and continuation primitives."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.task import (
@@ -53,6 +56,11 @@ def test_task_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != make_task("T", HOST_CONTINUATION, 2)
+    assert hash(Task("T", HOST_CONTINUATION, [1])) == hash(a)
+    assert hash(Continuation(1, 2)) == hash(Continuation(1, 2, 0))
+    # The generated hash of the field values: dict and set orders of
+    # continuations depend on it.
+    assert hash(Continuation(1, 2, 3)) == hash((1, 2, 3))
 
 
 def test_continuations_are_values():
@@ -61,3 +69,47 @@ def test_continuations_are_values():
     inner = Continuation(1, 5, 0)
     task = make_task("T", HOST_CONTINUATION, inner)
     assert task.args[0] is inner
+
+
+RECORDS = [Continuation(2, 7, 1), make_task("T", HOST_CONTINUATION, 1, 2)]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=["continuation", "task"])
+def test_records_are_immutable(record):
+    """Tasks and continuations are shared by queues, P-Store entries and
+    telemetry; a write to one would corrupt every holder."""
+    for f in dataclasses.fields(record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, f.name)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=["continuation", "task"])
+def test_records_pickle_round_trip(record):
+    clone = pickle.loads(pickle.dumps(record))
+    assert type(clone) is type(record)
+    assert clone == record
+    assert hash(clone) == hash(record)
+
+
+def test_records_replace():
+    k = Continuation(2, 7, 0)
+    assert dataclasses.replace(k, slot=3) == k.with_slot(3)
+    task = Task("T", k, (1, 2))
+    moved = dataclasses.replace(task, args=[3])
+    assert moved == Task("T", k, (3,))
+    assert type(moved.args) is tuple
+    assert task.args == (1, 2)
+
+
+def test_task_args_tuple_kept_by_identity():
+    class Words(tuple):
+        pass
+
+    plain = (1, 2)
+    words = Words((3, 4))
+    assert Task("T", HOST_CONTINUATION, plain).args is plain
+    assert Task("T", HOST_CONTINUATION, words).args is words
+    assert Task("T", HOST_CONTINUATION, iter([5])).args == (5,)
+    assert Task("T", HOST_CONTINUATION).args == ()
