@@ -463,8 +463,9 @@ class FlexAccelerator(BaseAccelerator):
             self.sub_work()
             return
         # An undetected duplicate falls through: it hits either the
-        # double-write check or (entry already readied) the unallocated-
-        # entry check in the functional table — loud, never silent.
+        # P-Store's unallocated-entry check (entry already readied),
+        # before it is counted or can be poisoned, or the table's
+        # double-write check — loud, never silent.
         pstore = self.pstores[cont.owner]
         # Greedy scheduling: route the readied task back to the PE that
         # produced the last argument (Section III-A).  The non-greedy

@@ -206,12 +206,13 @@ class ProcessingElement:
             victim_id = self.sched.pick_victim()
             if self.sched.counts_steals:
                 self.stats.steal_attempts += 1
+            victim_tile = accel.victim_tile(victim_id)
             if accel.telemetry is not None:
                 accel.telemetry.steal_request(
-                    self.pe_id, victim_id, hops=self._hops(victim_id)
+                    self.pe_id, victim_id, hops=self._hops(victim_tile)
                 )
             request = accel.net.steal_request_latency(
-                self.tile_id, accel.victim_tile(victim_id)
+                self.tile_id, victim_tile
             )
             fault = plan.steal_fault() if plan is not None else None
             if fault is not None and fault[0] == "drop":
@@ -264,11 +265,10 @@ class ProcessingElement:
             timeout = self._timeouts[delay] = Timeout(delay)
         return timeout
 
-    def _hops(self, victim_id: int) -> int:
-        """Victim distance in crossbar hops (0 = tile-local; the IF
-        block always sits a full hop away)."""
-        accel = self.accel
-        return 0 if accel.victim_tile(victim_id) == self.tile_id else 1
+    def _hops(self, victim_tile: int) -> int:
+        """Distance to a victim on ``victim_tile`` in crossbar hops
+        (0 = tile-local; the IF block always sits a full hop away)."""
+        return 0 if victim_tile == self.tile_id else 1
 
     def _finish_steal(self, victim_id: int, extra: int = 0) -> Generator:
         """Probe the victim's queue and ride the response back.
@@ -284,7 +284,7 @@ class ProcessingElement:
         accel = self.accel
         cfg = self.config
         victim_tile = accel.victim_tile(victim_id)
-        hops = 0 if victim_tile == self.tile_id else 1
+        hops = self._hops(victim_tile)
         tasks, depth_after = accel.steal_from(victim_id)
         self.sched.note_steal(victim_id, len(tasks), depth_after)
         if accel.telemetry is not None:

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 
 from repro.core.exceptions import (
     DataCorruptionError,
+    ProtocolError,
     PStoreFullError,
     PStoreNack,
 )
@@ -130,10 +131,19 @@ class HardwarePStore:
                 ) -> Optional[Task]:
         """Deliver an argument; returns the readied task if ``j`` hit zero.
 
-        With a fault plan attached, the write may be poisoned: ECC
-        corrects it in place, otherwise the parity check raises
-        :class:`DataCorruptionError` naming the tile, entry and slot.
+        A delivery to an entry that is not live (an undetected duplicate
+        of the argument that readied it, or a continuation never
+        allocated) raises :class:`ProtocolError` before it is counted or
+        draws a fault decision.  With a fault plan attached, the write
+        may be poisoned: ECC corrects it in place, otherwise the parity
+        check raises :class:`DataCorruptionError` naming the tile, entry
+        and slot.
         """
+        if cont.entry not in self.table.live:
+            raise ProtocolError(
+                f"P-Store tile {self.tile_id}: delivery to unallocated "
+                f"entry {cont!r}"
+            )
         if from_local_tile:
             self.stats.local_deliveries += 1
         else:

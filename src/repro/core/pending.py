@@ -60,7 +60,9 @@ class PendingTable:
     def __init__(self, owner: int, capacity: Optional[int] = None) -> None:
         self.owner = owner
         self.capacity = capacity
-        self._entries: dict = {}
+        #: Allocated entries by id.  Read it to test liveness without a
+        #: call; only this class's methods change it.
+        self.live: dict = {}
         #: Freed ids of a bounded table, reused last in, first out.
         self._free: List[int] = []
         #: Ids never handed out are ``0 .. _unused - 1``.
@@ -70,7 +72,7 @@ class PendingTable:
         self.alloc_count = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.live)
 
     def alloc(
         self,
@@ -99,13 +101,13 @@ class PendingTable:
             raise PStoreFullError(
                 f"P-Store {self.owner} full ({self.capacity} entries)"
             )
-        self._entries[entry_id] = PendingEntry(
+        self.live[entry_id] = PendingEntry(
             task_type, k, njoin, njoin, [_UNWRITTEN] * njoin,
             tuple(static_args), creator,
         )
         self.alloc_count += 1
-        if len(self._entries) > self.high_water:
-            self.high_water = len(self._entries)
+        if len(self.live) > self.high_water:
+            self.high_water = len(self.live)
         return Continuation(self.owner, entry_id, 0)
 
     def deliver(self, cont: Continuation, value) -> Optional[Task]:
@@ -118,7 +120,7 @@ class PendingTable:
             raise ProtocolError(
                 f"continuation {cont!r} delivered to P-Store {self.owner}"
             )
-        entry = self._entries.get(cont.entry)
+        entry = self.live.get(cont.entry)
         if entry is None:
             raise ProtocolError(f"delivery to unallocated entry {cont!r}")
         if not (0 <= cont.slot < entry.njoin):
@@ -131,7 +133,7 @@ class PendingTable:
         entry.remaining -= 1
         if entry.remaining:
             return None
-        del self._entries[cont.entry]
+        del self.live[cont.entry]
         if self.capacity is not None:
             self._free.append(cont.entry)
         return Task(entry.task_type, entry.k, tuple(entry.args) + entry.static_args)
@@ -143,17 +145,17 @@ class PendingTable:
         P-Store NACK mid-execution returns the entries it already
         allocated before retrying, so a retry never leaks capacity.
         """
-        if entry_id not in self._entries:
+        if entry_id not in self.live:
             raise ProtocolError(f"cannot free unallocated entry {entry_id}")
-        del self._entries[entry_id]
+        del self.live[entry_id]
         if self.capacity is not None:
             self._free.append(entry_id)
 
     def entry(self, entry_id: int) -> PendingEntry:
         """Look up a live entry (for instrumentation and validation)."""
-        if entry_id not in self._entries:
+        if entry_id not in self.live:
             raise ProtocolError(f"entry {entry_id} is not allocated")
-        return self._entries[entry_id]
+        return self.live[entry_id]
 
     def creator_of(self, entry_id: int) -> Optional[int]:
         """PE id that allocated ``entry_id``, if the entry is live."""
@@ -161,7 +163,7 @@ class PendingTable:
 
     @property
     def is_empty(self) -> bool:
-        return not self._entries
+        return not self.live
 
     def __repr__(self) -> str:
         cap = self.capacity if self.capacity is not None else "inf"

@@ -7,21 +7,38 @@ need ten paired benchmark runs to see through.  The budget is an upper
 bound: a change that removes calls passes, and one that adds more than
 1% fails, and must either remove them again or justify them and raise
 the budget.
+
+The count belongs to the interpreter it was measured on: how cProfile
+hooks calls (3.12 moved it onto ``sys.monitoring``) and what the
+dataclass and stdlib internals call change between minor versions.  So
+the budget is pinned per CPython minor version, and the test skips on
+an interpreter that has no pinned count.
 """
 
 import cProfile
 import gc
+import sys
+
+import pytest
 
 from repro.exec.engines import simulate
 from repro.exec.spec import make_spec
 
-#: Calls of one quick fib job on flex16 (1,828 tasks) when the budget
-#: was last lowered, after the task records were slotted and the
-#: per-message tile lookups removed (178,172 before).
-FIB_FLEX16_QUICK_CALLS = 152_836
+#: Calls of one quick fib job on flex16 (1,828 tasks), by CPython
+#: ``(major, minor)``, when the budget was last lowered: after the task
+#: records were slotted and the per-message tile lookups removed
+#: (178,172 before).  3.11 was measured on 3.11.7.
+FIB_FLEX16_QUICK_CALLS = {(3, 11): 153_285}
 
 
 def test_quick_fib_flex16_call_budget():
+    pinned = FIB_FLEX16_QUICK_CALLS.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip(
+            "no call budget pinned for Python "
+            f"{sys.version_info[0]}.{sys.version_info[1]}: cProfile's "
+            "count depends on the interpreter"
+        )
     spec = make_spec("fib", 16, quick=True)
     simulate(spec)  # imports and lazy set-up stay out of the count
     gc.collect()
@@ -40,8 +57,8 @@ def test_quick_fib_flex16_call_budget():
     # line and name, so the generated ``__init__``s of different
     # dataclasses (all at ``<string>:2``) would overwrite one another.
     calls = sum(entry.callcount for entry in profile.getstats())
-    budget = int(FIB_FLEX16_QUICK_CALLS * 1.01)
+    budget = int(pinned * 1.01)
     assert calls <= budget, (
         f"quick fib on flex16 made {calls} Python calls, over the budget "
-        f"of {budget} (1% above {FIB_FLEX16_QUICK_CALLS})"
+        f"of {budget} (1% above {pinned})"
     )

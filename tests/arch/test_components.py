@@ -8,6 +8,7 @@ from repro.arch.network import CrossbarNetwork
 from repro.arch.pstore import HardwarePStore
 from repro.core.exceptions import ProtocolError, PStoreFullError
 from repro.core.task import HOST_CONTINUATION, Task
+from repro.resil.faults import FaultPlan, FaultSpec
 
 
 class TestHardwarePStore:
@@ -37,6 +38,20 @@ class TestHardwarePStore:
         ps.alloc("T", HOST_CONTINUATION, 1)
         with pytest.raises(PStoreFullError):
             ps.alloc("T", HOST_CONTINUATION, 1)
+
+    def test_stale_delivery_rejected_before_count_and_poison(self):
+        """A duplicate of the argument that readied an entry is rejected
+        before it is counted or draws a fault decision, so a poison
+        decision cannot turn it into a parity error."""
+        ps = HardwarePStore(0, entries=8)
+        cont = ps.alloc("T", HOST_CONTINUATION, 1)
+        assert ps.deliver(cont, 7, True) is not None
+        plan = FaultPlan(FaultSpec(pstore_poison_rate=1.0))
+        ps.faults = plan
+        with pytest.raises(ProtocolError, match="unallocated"):
+            ps.deliver(cont, 7, False)
+        assert ps.stats.deliveries == 1
+        assert plan.total_injected == 0
 
 
 class TestCrossbarNetwork:

@@ -74,6 +74,35 @@ def test_duplicate_without_retransmit_is_loud():
                  faults=FaultSpec(arg_dup_rate=1.0))
 
 
+def test_stale_duplicate_without_retransmit_is_a_protocol_error():
+    """A duplicate that reaches a freed entry fails as a ProtocolError
+    before the P-Store counts it or draws a poison decision: with ECC on
+    and every write poisoned, only the one real delivery was corrected."""
+    class OneJoin(Worker):
+        task_types = ("ROOT", "LEAF", "DONE")
+
+        def execute(self, task, ctx):
+            if task.task_type == "ROOT":
+                succ = ctx.make_successor("DONE", task.k, 1)
+                ctx.spawn(Task("LEAF", succ))
+            else:
+                ctx.send_arg(task.k, 1)
+
+    accel = FlexAccelerator(
+        flex_config(1, memory="perfect", park_idle_pes=False,
+                    pstore_ecc=True),
+        OneJoin(),
+    )
+    plan = attach_faults(accel, FaultPlan(FaultSpec(
+        arg_dup_rate=1.0, pstore_poison_rate=1.0)))
+    with pytest.raises(ProtocolError, match="unallocated"):
+        accel.run(Task("ROOT", HOST_CONTINUATION))
+    (pstore,) = accel.pstores
+    assert pstore.stats.deliveries == 1
+    assert pstore.stats.poison_corrected == 1
+    assert plan.injected == {"arg-dup": 1, "pstore-poison": 1}
+
+
 def test_dropped_args_without_retransmit_diagnosed():
     # pstore_entries is oversized so every join can be allocated and
     # stranded: the failure mode under test is stagnation, not capacity.
