@@ -16,6 +16,7 @@ stops changing indicates a protocol bug and raises
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.config import (
@@ -262,8 +263,11 @@ class BaseAccelerator:
             counters["pstore_high_water"] = max(
                 ps.stats.high_water for ps in pstores
             )
-        if self.park_registry is not None:
-            counters.update(self.park_registry.stats.snapshot(prefix="park."))
+        registry = self.park_registry
+        if registry is not None:
+            counters["park.events_elided"] = registry.events_elided
+            counters["park.pe_parks"] = registry.pe_parks
+            counters["park.pe_wakes"] = registry.pe_wakes
         if self.interface.admission is not None:
             counters["admission_high_water"] = \
                 self.interface.admission.max_queued
@@ -308,11 +312,13 @@ class FlexAccelerator(BaseAccelerator):
     def num_victims(self) -> int:
         return self.config.num_pes + 1
 
-    def victim_tile(self, victim_id: int) -> int:
-        """Tile of a victim; the IF block sits off-tile (full hop)."""
-        if victim_id == self.config.num_pes:
-            return -1  # never equals a PE tile => remote latency
-        return self.config.tile_of(victim_id)
+    @cached_property
+    def victim_tiles(self) -> List[int]:
+        """Tile of each victim id, built once: each PE's own tile, then
+        -1 for the IF block, which sits off-tile (a full hop) because -1
+        equals no PE tile."""
+        tile_of = self.config.tile_of
+        return [tile_of(v) for v in range(self.config.num_pes)] + [-1]
 
     def steal_from(self, victim_id: int) -> Tuple[List[Task], int]:
         """Service a steal probe at the victim side.

@@ -87,7 +87,8 @@ class LiteAccelerator(BaseAccelerator):
     def num_victims(self) -> int:
         return 1  # no work-stealing network
 
-    def victim_tile(self, victim_id: int) -> int:
+    @property
+    def victim_tiles(self) -> List[int]:
         raise ProtocolError("LiteArch has no work-stealing network")
 
     def steal_from(self, victim_id: int) -> Optional[Task]:
@@ -125,11 +126,6 @@ class LiteAccelerator(BaseAccelerator):
             event.trigger()
 
     # -- host process -------------------------------------------------------
-    def _host_cycles(self, cpu_cycles: int) -> int:
-        """Convert host CPU work into accelerator-clock ticks."""
-        ns = self.config.cpu_clock.cycles_to_ns(cpu_cycles)
-        return self.config.clock.ns_to_cycles(ns)
-
     def _host_loop(self, program: LiteProgram) -> Generator:
         cfg = self.config
         gen = program.rounds()
@@ -146,7 +142,7 @@ class LiteAccelerator(BaseAccelerator):
             # Host-side split/dispatch work, at CPU speed.
             overhead = (cfg.lite_round_overhead_cycles
                         + cfg.lite_per_task_host_cycles * len(tasks))
-            yield Timeout(self._host_cycles(overhead))
+            yield Timeout(cfg.clock.convert_cycles(overhead, cfg.cpu_clock))
             self._round_values = {}
             self._round_remaining = len(tasks)
             self._round_event = self.engine.event(

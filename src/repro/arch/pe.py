@@ -201,15 +201,16 @@ class ProcessingElement:
         accel = self.accel
         cfg = self.config
         plan = accel.faults
+        sched = self.sched
         retries = 0
         while True:
-            victim_id = self.sched.pick_victim()
-            if self.sched.counts_steals:
+            victim_id = sched.pick_victim()
+            if sched.counts_steals:
                 self.stats.steal_attempts += 1
-            victim_tile = accel.victim_tile(victim_id)
+            victim_tile = accel.victim_tiles[victim_id]
             if accel.telemetry is not None:
                 accel.telemetry.steal_request(
-                    self.pe_id, victim_id, hops=self._hops(victim_tile)
+                    self.pe_id, victim_id, hops=sched.hops[victim_id]
                 )
             request = accel.net.steal_request_latency(
                 self.tile_id, victim_tile
@@ -219,7 +220,7 @@ class ProcessingElement:
                 # The request died before the victim probe: no task can
                 # be lost with it, only the thief's response wait.  The
                 # policy observes nothing (no response came back).
-                self.sched.note_drop(victim_id)
+                sched.note_drop(victim_id)
                 if accel.telemetry is not None:
                     accel.telemetry.fault(STEAL_DROP, pe=self.pe_id,
                                           data={"victim": victim_id})
@@ -265,11 +266,6 @@ class ProcessingElement:
             timeout = self._timeouts[delay] = Timeout(delay)
         return timeout
 
-    def _hops(self, victim_tile: int) -> int:
-        """Distance to a victim on ``victim_tile`` in crossbar hops
-        (0 = tile-local; the IF block always sits a full hop away)."""
-        return 0 if victim_tile == self.tile_id else 1
-
     def _finish_steal(self, victim_id: int, extra: int = 0) -> Generator:
         """Probe the victim's queue and ride the response back.
 
@@ -283,24 +279,24 @@ class ProcessingElement:
         """
         accel = self.accel
         cfg = self.config
-        victim_tile = accel.victim_tile(victim_id)
-        hops = self._hops(victim_tile)
+        sched = self.sched
+        hops = sched.hops[victim_id]
         tasks, depth_after = accel.steal_from(victim_id)
-        self.sched.note_steal(victim_id, len(tasks), depth_after)
+        sched.note_steal(victim_id, len(tasks), depth_after)
         if accel.telemetry is not None:
             accel.telemetry.steal_result(
                 self.pe_id, victim_id, tasks[0] if tasks else None,
                 hops=hops, count=len(tasks),
             )
         response = accel.net.steal_response_latency(
-            self.tile_id, victim_tile
+            self.tile_id, accel.victim_tiles[victim_id]
         ) + extra
         if len(tasks) > 1:
             response += (len(tasks) - 1) * cfg.queue_op_cycles
         yield self._timeout(response)
         if not tasks:
             return None
-        if self.sched.counts_steals:
+        if sched.counts_steals:
             self.stats.steal_hits += 1
             if hops:
                 self.stats.steal_hits_remote += 1

@@ -33,7 +33,7 @@ ancestry (:meth:`Engine.resume_at`), so even same-tick races between a
 woken PE's probe and the push that woke it resolve exactly as they would
 have in the polling simulator.  Simulated cycles, steal statistics and
 LFSR sequences are bit-exact; only the empty engine events disappear
-(counted by the ``events_elided`` statistic).
+(counted by :attr:`ParkRegistry.events_elided`).
 
 Non-stealing PEs (LiteArch) park on their own queue only; their virtual
 timeline is a bare ``idle_poll_cycles`` cadence with no observable side
@@ -75,11 +75,10 @@ positional walk.
 
 from __future__ import annotations
 
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from typing import Callable, List, Optional, Tuple
 
 from repro.kernel import Park
-from repro.sim.stats import StatsRegistry
 
 #: Park scopes: a stealing PE sleeps on *global* work visibility (any
 #: watched deque), a non-stealing PE only on its own queue.
@@ -186,10 +185,11 @@ class ParkRegistry:
         self.engine = accel.engine
         self._nonempty = 0
         self._parked: List[_ParkedPE] = []  # in park order
-        self.stats = StatsRegistry()
-        self._elided = self.stats.counter("events_elided")
-        self._parks = self.stats.counter("pe_parks")
-        self._wakes = self.stats.counter("pe_wakes")
+        #: Engine events the wakeup replays stood in for, PE parks and
+        #: PE wakes; a run reports them as ``park.*`` counters.
+        self.events_elided = 0
+        self.pe_parks = 0
+        self.pe_wakes = 0
 
     # -- work visibility ---------------------------------------------------
     def watch(self, deque) -> None:
@@ -211,14 +211,6 @@ class ParkRegistry:
         """True when any watched deque holds at least one task."""
         return self._nonempty > 0
 
-    @property
-    def events_elided(self) -> int:
-        return self._elided.value
-
-    @property
-    def parked_count(self) -> int:
-        return len(self._parked)
-
     def is_parked(self, pe) -> bool:
         """Whether ``pe`` currently holds no engine event (diagnostics)."""
         return any(rec.pe is pe for rec in self._parked)
@@ -234,7 +226,7 @@ class ParkRegistry:
         self._parked.append(
             _ParkedPE(pe, self.engine.now, s_at, p_s_at, scope)
         )
-        self._parks.inc()
+        self.pe_parks += 1
         if self.accel.telemetry is not None:
             self.accel.telemetry.parked(pe.pe_id)
         return Park()
@@ -264,12 +256,12 @@ class ParkRegistry:
             entries.sort(key=cmp_to_key(_chain_order))
         tel = self.accel.telemetry
         for plan, rec, _ in entries:
-            self._elided.inc(plan.elided)
+            self.events_elided += plan.elided
             if tel is not None:
                 tel.woke(rec.pe.pe_id, plan.time, plan.elided)
             self.engine.resume_at(rec.pe.proc, plan.time, plan.value,
                                   plan.s_at, plan.p_s_at)
-        self._wakes.inc(len(parked))
+        self.pe_wakes += len(parked)
 
     def _plan_local(self, rec: _ParkedPE, key: Tuple[int, int, int]) -> _Plan:
         """Next quantized poll boundary of a non-stealing PE."""
@@ -307,18 +299,10 @@ class ParkRegistry:
         accel = self.accel
         sched = pe.sched
         resume, attempts, times = sched.replay_misses(
-            accel.net, self._victim_tiles, accel.config.steal_backoff_cycles,
+            accel.net, accel.config.steal_backoff_cycles,
             (rec.anchor, rec.s_at, rec.p_s_at), key, accel.telemetry)
         if sched.counts_steals:
             pe.stats.steal_attempts += attempts
         times.reverse()
         times += (rec.s_at, rec.p_s_at)
         return _Plan(*resume, _list_chain(times))
-
-    @cached_property
-    def _victim_tiles(self) -> List[int]:
-        """Tile of each victim id, from ``accel.victim_tile``; built on the
-        first stealing replay, since LiteArch PEs never steal and its
-        ``victim_tile`` raises."""
-        accel = self.accel
-        return [accel.victim_tile(v) for v in range(accel.num_victims)]

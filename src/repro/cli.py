@@ -4,7 +4,8 @@ Commands:
 
 * ``run <benchmark>`` — simulate one benchmark on one engine
   (``--trace out.json`` writes a Perfetto-loadable Chrome trace,
-  ``--stats`` dumps the run's counters).
+  ``--stats`` dumps the run's counters); an invalid configuration
+  prints one ``repro: error:`` line and exits 2.
 * ``report <benchmark>`` — instrumented run + full telemetry report
   (latency decomposition, time series, critical path).
 * ``table1|table2|table3|table4|table5`` — regenerate a paper table.
@@ -261,23 +262,34 @@ def _run_one(args, *, telemetry: bool):
                 "--arrivals needs the flex or zynq engine"
             )
         parts = args.arrivals.split(":")
-        if len(parts) not in (2, 3):
+        try:
+            if len(parts) not in (2, 3):
+                raise ValueError
+            kwargs["workload"] = dict(
+                kind="stochastic",
+                rate=float(parts[0]),
+                num_jobs=int(parts[1]),
+                seed=int(parts[2], 0) if len(parts) == 3
+                else DEFAULT_ARRIVAL_SEED,
+            )
+        except ValueError:
             raise ConfigError(
                 f"--arrivals must be RATE:N[:SEED], got {args.arrivals!r}"
-            )
-        kwargs["workload"] = dict(
-            kind="stochastic",
-            rate=float(parts[0]),
-            num_jobs=int(parts[1]),
-            seed=int(parts[2], 0) if len(parts) == 3
-            else DEFAULT_ARRIVAL_SEED,
-        )
+            ) from None
     return engines[args.engine](args.benchmark, args.pes, **kwargs)
 
 
 def _cmd_run(args) -> int:
+    from repro.core.exceptions import ConfigError
+
     telemetry = bool(args.trace)
-    result = _run_one(args, telemetry=telemetry)
+    try:
+        result = _run_one(args, telemetry=telemetry)
+    except ConfigError as exc:
+        # A bad input (PE count, engine/benchmark pair, --arrivals)
+        # exits like an argparse error: one line, status 2.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     print(f"{result.label}: verified, {result.cycles} cycles "
           f"({result.ns / 1000:.1f} us @ {result.clock_mhz:.0f} MHz), "
           f"{result.tasks_executed} tasks, {result.total_steals} steals, "

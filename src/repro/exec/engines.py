@@ -26,6 +26,7 @@ from repro.arch.accelerator import DEFAULT_MAX_CYCLES, FlexAccelerator
 from repro.arch.config import flex_config, lite_config
 from repro.arch.lite import LiteAccelerator
 from repro.arch.result import RunResult
+from repro.core.exceptions import ConfigError
 from repro.exec.spec import JobSpec
 from repro.sim.timing import ZYNQ_FABRIC_CLOCK
 from repro.workers import make_benchmark
@@ -134,7 +135,6 @@ def _simulate_open(spec: JobSpec, telemetry: bool,
     :meth:`~repro.arch.accelerator.FlexAccelerator.run_workload`.  Every
     job's host value is verified against its tenant's reference.
     """
-    from repro.core.exceptions import ConfigError
     from repro.workload import bind_jobs, make_source
 
     source = make_source(spec.workload_dict)
@@ -190,7 +190,7 @@ def _simulate_lite(spec: JobSpec, telemetry: bool) -> RunResult:
         spec.benchmark, **bench_params(spec.benchmark, spec.quick,
                                        spec.params_dict))
     if not bench.has_lite:
-        raise ValueError(f"{spec.benchmark} has no LiteArch implementation")
+        raise ConfigError(f"{spec.benchmark} has no LiteArch implementation")
     config = lite_config(spec.num_pes, **spec.config_dict)
     engine = LiteAccelerator(config, bench.lite_worker(spec.platform))
     sink = _instrument(engine, telemetry)

@@ -10,11 +10,9 @@ substitute their own oracle engine for it; see ``docs/KERNEL.md``.
 
 from __future__ import annotations
 
-from repro.kernel.fast import FastChannel, FastEngine
+from repro.kernel.fast import FastEngine
 from repro.kernel.interface import (
-    ChannelBase,
     Event,
-    Get,
     Park,
     Process,
     SimKernel,
@@ -44,11 +42,8 @@ def make_engine() -> SimKernel:
 
 __all__ = [
     "BACKENDS",
-    "ChannelBase",
     "Event",
-    "FastChannel",
     "FastEngine",
-    "Get",
     "Park",
     "Process",
     "SimKernel",

@@ -10,10 +10,9 @@ attacks the per-event constant factor four ways:
 * **Slot-based event records.**  Events are plain tuples
   ``(s_at, p_s_at, seq, code, a, b)`` where ``code`` selects the action
   (:data:`_STEP` resumes process ``a`` with value ``b``, :data:`_CALL`
-  invokes callback ``a``, :data:`_DELIVER` lands item ``b`` on channel
-  ``a``).  No closure is allocated per event, and record comparisons
-  short-circuit at the unique ``seq`` before reaching the
-  non-comparable payload fields.
+  invokes callback ``a``).  No closure is allocated per event, and
+  record comparisons short-circuit at the unique ``seq`` before
+  reaching the non-comparable payload fields.
 
 * **Batched same-tick execution (tick buckets).**  Instead of one heap
   entry per event, events live in per-tick buckets — a dict mapping
@@ -60,9 +59,7 @@ from bisect import insort
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.kernel.interface import (
-    ChannelBase,
     Event,
-    Get,
     Park,
     Process,
     SimKernel,
@@ -72,29 +69,12 @@ from repro.kernel.interface import (
 )
 
 #: Event-record action codes (slot 3 of a record).
-_STEP = 0     # resume process a with value b
-_CALL = 1     # invoke callback a
-_DELIVER = 2  # land item b on channel a
-
-
-class FastChannel(ChannelBase):
-    """Channel delivering through a slot record."""
-
-    __slots__ = ()
-
-    def _schedule_delivery(self, delay: int, item: Any) -> None:
-        engine = self.engine
-        engine._seq += 1
-        engine._insert(
-            engine.now + delay,
-            (engine.now, engine._cur_s_at, engine._seq, _DELIVER, self, item),
-        )
+_STEP = 0  # resume process a with value b
+_CALL = 1  # invoke callback a
 
 
 class FastEngine(SimKernel):
     """Discrete-event kernel with slot records and tick buckets."""
-
-    channel_type = FastChannel
 
     def __init__(self) -> None:
         super().__init__()
@@ -159,8 +139,6 @@ class FastEngine(SimKernel):
         # Everything but a plain Timeout (those are inlined in run()).
         if isinstance(request, Timeout):
             self._schedule_resume(proc, request.delay, None)
-        elif isinstance(request, Get):
-            request.channel._add_getter(proc)
         elif isinstance(request, Event):
             request._add_waiter(proc)
         elif isinstance(request, Process):
@@ -175,9 +153,8 @@ class FastEngine(SimKernel):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        events = 0
+    def run(self, until: Optional[int] = None) -> int:
+        ran = False
         times = self._times
         buckets = self._buckets
         pop_time = heapq.heappop
@@ -189,6 +166,7 @@ class FastEngine(SimKernel):
             pop_time(times)
             if t < self.now:
                 raise SimulationError("time went backwards")
+            ran = True
             self.now = t
             bucket = buckets[t]
             self._bucket = bucket
@@ -250,11 +228,6 @@ class FastEngine(SimKernel):
                                         insort(b, nrec)
                                     break
                                 # Sole actor until t_next: step in place.
-                                events += 1
-                                if (max_events is not None
-                                        and events >= max_events):
-                                    raise SimulationError(
-                                        f"exceeded max_events={max_events}")
                                 self.now = t_next
                                 self._cur_s_at = time
                                 self._cur_p_s_at = s_at
@@ -264,14 +237,8 @@ class FastEngine(SimKernel):
                                 continue
                             self._dispatch_slow(a, request)
                             break
-                    elif code == _CALL:
+                    else:  # _CALL
                         a()
-                    else:  # _DELIVER
-                        a._deliver(value)
-                    events += 1
-                    if max_events is not None and events >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}")
                     i += 1
             except BaseException:
                 # Keep the unexecuted suffix pending so the engine
@@ -285,7 +252,7 @@ class FastEngine(SimKernel):
                 raise
             del buckets[t]
             self._bucket = None
-        if events:
+        if ran:
             self.last_event_time = self.now
         # A bounded run always ends at its horizon, whether it stopped
         # early or drained the heap.

@@ -8,11 +8,11 @@ the interface defined here and nothing else.  The simulator's engine,
 so does the test suite's reference engine, which tests substitute for
 it to compare every observable of a run (see ``docs/KERNEL.md``).
 
-The five hot operations
------------------------
+The three operations
+--------------------
 
-1. **Event scheduling and ordering.**  :meth:`SimKernel.schedule` runs a
-   callback ``delay`` ticks from now; events are ordered by the
+1. **Scheduling with virtual ancestry.**  :meth:`SimKernel.schedule`
+   runs a callback ``delay`` ticks from now; events are ordered by the
    composite key ``(time, scheduled_at, parent_scheduled_at, seq)``.
    The two ancestry fields are redundant for normally scheduled events
    (``seq`` alone sorts them) but are load-bearing for
@@ -23,21 +23,13 @@ The five hot operations
 
 2. **Process stepping.**  :meth:`SimKernel.process` registers a
    generator; the kernel drives it by calling ``send`` and dispatching
-   on the yielded request — :class:`Timeout`, :class:`Get`,
-   :class:`Event`, :class:`Park`, or another :class:`Process` (join).
+   on the yielded request — :class:`Timeout`, :class:`Event`,
+   :class:`Park`, or another :class:`Process` (join).
 
-3. **Channel get/put.**  :meth:`SimKernel.channel` builds the engine's
-   latency/bandwidth channel; processes block on it via :class:`Get`.
-
-4. **Park/wakeup.**  A process yields :class:`Park` to suspend holding
+3. **Park/wakeup.**  A process yields :class:`Park` to suspend holding
    *no* kernel resources; the park issuer keeps the :class:`Process`
    and later calls :meth:`SimKernel.resume_at` with a virtual ancestry
    derived from :attr:`SimKernel.current_key`.
-
-5. **The LFSR draw.**  :meth:`SimKernel.lfsr` hands out the victim-
-   selection PRNG so a compiled kernel can inline it next to the
-   event loop.  (Fault-injection LFSRs stay outside the kernel on
-   purpose — they must be isolated from scheduling randomness.)
 
 All delays are integral ticks.  Non-integral delays raise
 :class:`ValueError` rather than truncating silently — a ``2.5``-cycle
@@ -47,10 +39,7 @@ make.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Generator, List, Optional, Tuple
-
-from repro.core.lfsr import LFSR16
 
 
 class SimulationError(RuntimeError):
@@ -121,18 +110,6 @@ class Event:
         return f"Event({self.name!r}, {state})"
 
 
-class Get:
-    """Request for the next item from a channel."""
-
-    __slots__ = ("channel",)
-
-    def __init__(self, channel: Any) -> None:
-        self.channel = channel
-
-    def __repr__(self) -> str:
-        return f"Get({self.channel!r})"
-
-
 class Park:
     """Request to suspend the process until an external wakeup.
 
@@ -188,88 +165,6 @@ class Process:
         return f"Process({self.name!r}, {state})"
 
 
-class ChannelBase:
-    """FIFO channel with delivery latency and optional serialisation.
-
-    ``put`` makes an item visible to getters after the channel's
-    latency, and an optional bandwidth limit serialises deliveries so
-    that at most one item lands per ``interval`` ticks (used for shared
-    links such as the Zedboard ACP port).  Engines implement
-    :meth:`_schedule_delivery`; everything else is shared.
-
-    Parameters
-    ----------
-    engine:
-        Owning simulation kernel.
-    latency:
-        Ticks between ``put`` and the item becoming available to a getter.
-    interval:
-        Minimum ticks between consecutive deliveries (bandwidth limit);
-        ``0`` means unlimited.
-    name:
-        Debug label.
-    """
-
-    __slots__ = ("engine", "latency", "interval", "name", "_items",
-                 "_getters", "_next_free", "put_count", "get_count")
-
-    def __init__(self, engine: "SimKernel", latency: int = 0,
-                 interval: int = 0, name: str = "") -> None:
-        self.engine = engine
-        self.latency = validated_delay(latency)
-        self.interval = validated_delay(interval)
-        self.name = name
-        self._items: Any = deque()
-        self._getters: List[Process] = []
-        self._next_free = 0  # next tick a serialised delivery may land
-        self.put_count = 0
-        self.get_count = 0
-
-    def put(self, item: Any) -> None:
-        """Send ``item``; it arrives after latency (and bandwidth slotting)."""
-        self.put_count += 1
-        arrival = self.engine.now + self.latency
-        if self.interval:
-            arrival = max(arrival, self._next_free)
-            self._next_free = arrival + self.interval
-        self._schedule_delivery(arrival - self.engine.now, item)
-
-    def _schedule_delivery(self, delay: int, item: Any) -> None:
-        raise NotImplementedError
-
-    def _deliver(self, item: Any) -> None:
-        if self._getters:
-            proc = self._getters.pop(0)
-            self.get_count += 1
-            self.engine._schedule_resume(proc, 0, item)
-        else:
-            self._items.append(item)
-
-    def _add_getter(self, proc: Process) -> None:
-        if self._items:
-            item = self._items.popleft()
-            self.get_count += 1
-            self.engine._schedule_resume(proc, 0, item)
-        else:
-            self._getters.append(proc)
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: return an available item or ``None``."""
-        if self._items:
-            self.get_count += 1
-            return self._items.popleft()
-        return None
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self.name!r}, latency={self.latency}, "
-            f"queued={len(self._items)})"
-        )
-
-
 #: ``scheduled_at`` sentinel for events scheduled before the first event
 #: executes (setup code runs outside any event).
 _PRE_RUN = -1
@@ -281,12 +176,9 @@ class SimKernel:
     Engines implement :meth:`schedule`, :meth:`resume_at`,
     :meth:`process`, :meth:`run`, :meth:`_schedule_resume`,
     :attr:`pending_events` and :attr:`finished`; the shared state
-    (clock, sequence counter, telemetry hook, current-event ancestry)
-    and the factory/introspection surface live here.
+    (clock, sequence counter, telemetry hook, current-event ancestry),
+    the :class:`Event` factory and the introspection surface live here.
     """
-
-    #: Channel class the :meth:`channel` factory builds; set by engines.
-    channel_type: Any = None
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -331,15 +223,13 @@ class SimKernel:
         """Schedule ``proc`` to be stepped with ``value`` after ``delay``."""
         raise NotImplementedError
 
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run until no event is pending (or ``until`` / ``max_events``).
+    def run(self, until: Optional[int] = None) -> int:
+        """Run until no event is pending (or until tick ``until``).
 
-        Returns the final simulation time.  ``until`` is an absolute tick
-        bound; ``max_events`` guards against runaway simulations.  A
-        bounded run always ends with ``now == until`` (whether it stopped
-        early or ran out of events); :attr:`last_event_time` records the
-        tick of the last event actually executed.  Remaining events stay
+        Returns the final simulation time.  A bounded run always ends
+        with ``now == until``, whether it stopped early or ran out of
+        events; :attr:`last_event_time` records the tick of the last
+        event actually executed.  Remaining events stay
         pending (visible via :attr:`pending_events`); calling
         :meth:`run` again resumes where the previous call stopped.
         """
@@ -357,24 +247,11 @@ class SimKernel:
             )
 
     # ------------------------------------------------------------------
-    # Factories
+    # Events
     # ------------------------------------------------------------------
     def event(self, name: str = "") -> Event:
         """Create a new one-shot :class:`Event`."""
         return Event(self, name)
-
-    def channel(self, latency: int = 0, interval: int = 0, name: str = ""):
-        """Create this engine's latency/bandwidth channel."""
-        return self.channel_type(self, latency, interval, name)
-
-    def lfsr(self, seed: int) -> LFSR16:
-        """Create the victim-selection PRNG used by steal policies.
-
-        Owned by the kernel so a compiled engine can substitute an
-        inlined implementation; the bit stream must match
-        :class:`repro.core.lfsr.LFSR16` exactly.
-        """
-        return LFSR16(seed)
 
     # ------------------------------------------------------------------
     # Introspection

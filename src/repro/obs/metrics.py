@@ -43,8 +43,6 @@ import math
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.stats import Histogram as SampleHistogram
-
 #: Default boundaries for wall-clock second histograms (Prometheus'
 #: conventional latency ladder, seconds).
 SECONDS_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
@@ -111,22 +109,27 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
-class Histogram(SampleHistogram):
-    """A :class:`repro.sim.stats.Histogram` with fixed export buckets.
+class Histogram:
+    """Raw samples with exact statistics and fixed export buckets.
 
-    The raw-sample statistics (count/sum/min/max/mean, exact
-    percentiles, lossless merge) are inherited from the sim-side
-    implementation — one histogram code path for both worlds.  This
-    subclass adds the *fixed-boundary cumulative bucket counts* the
-    exporters emit: boundaries are chosen at registration and never
-    adapt to the data, so the exported shape is reproducible.
+    Samples are kept verbatim, so count/sum/min/max/mean and nearest-rank
+    percentiles are exact and two histograms :meth:`merge` losslessly.
+    The exporters also emit *fixed-boundary cumulative bucket counts*:
+    boundaries are chosen at registration and never adapt to the data,
+    so the exported shape is reproducible.
     """
 
-    __slots__ = ("help", "volatile", "buckets", "bucket_counts")
+    __slots__ = ("name", "count", "total", "minimum", "maximum", "samples",
+                 "help", "volatile", "buckets", "bucket_counts")
 
     def __init__(self, name: str, buckets: Sequence[float] = SECONDS_BUCKETS,
                  help: str = "", volatile: bool = False) -> None:
-        super().__init__(name)
+        self.name = name
+        self.count = 0
+        self.total = 0
+        self.minimum: Optional[float] = None
+        self.maximum: Optional[float] = None
+        self.samples: List[float] = []
         self.help = help
         self.volatile = volatile
         self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
@@ -136,12 +139,40 @@ class Histogram(SampleHistogram):
         self.bucket_counts: List[int] = [0] * (len(self.buckets) + 1)
 
     def record(self, sample) -> None:
-        super().record(sample)
+        self.count += 1
+        self.total += sample
+        self.samples.append(sample)
+        if self.minimum is None or sample < self.minimum:
+            self.minimum = sample
+        if self.maximum is None or sample > self.maximum:
+            self.maximum = sample
         for i, bound in enumerate(self.buckets):
             if sample <= bound:
                 self.bucket_counts[i] += 1
                 return
         self.bucket_counts[-1] += 1
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def percentile(self, p: float) -> Optional[float]:
+        """Exact nearest-rank percentile (``p`` in [0, 100]) over the
+        recorded samples; ``None`` when nothing was recorded."""
+        return self.percentiles((p,))[f"p{p:g}"]
+
+    def percentiles(self, ps: Sequence[float] = (50, 95, 99)
+                    ) -> Dict[str, Optional[float]]:
+        """``{"p50": ..., "p95": ..., "p99": ...}`` (exact, sorted once)."""
+        if not self.samples:
+            return {f"p{p:g}": None for p in ps}
+        ordered = sorted(self.samples)
+        out: Dict[str, Optional[float]] = {}
+        for p in ps:
+            rank = min(len(ordered),
+                       max(1, math.ceil(p / 100.0 * len(ordered))))
+            out[f"p{p:g}"] = float(ordered[rank - 1])
+        return out
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(le, cumulative_count)`` pairs ending with ``(+Inf, count)``."""
@@ -153,9 +184,9 @@ class Histogram(SampleHistogram):
         out.append((math.inf, self.count))
         return out
 
-    def merge(self, other: SampleHistogram) -> None:
-        """Merge by replaying samples, so bucket counts stay consistent
-        even when ``other`` used different boundaries (or none)."""
+    def merge(self, other: "Histogram") -> None:
+        """Merge by replaying samples (lossless), so bucket counts stay
+        consistent even when ``other`` used different boundaries."""
         for sample in other.samples:
             self.record(sample)
 
@@ -173,14 +204,19 @@ class Histogram(SampleHistogram):
         }
         return out
 
+    def __repr__(self) -> str:
+        return (
+            f"Histogram({self.name}: n={self.count}, mean={self.mean:.2f}, "
+            f"min={self.minimum}, max={self.maximum})"
+        )
+
 
 class MetricsRegistry:
     """Named collection of counters, gauges, and histograms.
 
-    ``counter``/``gauge``/``histogram`` get-or-create, like
-    :class:`repro.sim.stats.StatsRegistry` — instruments are cheap to
-    look up from hot paths and re-registration returns the existing
-    instrument (its options win; later calls may omit them).
+    ``counter``/``gauge``/``histogram`` get-or-create — instruments
+    are cheap to look up from hot paths and re-registration returns the
+    existing instrument (its options win; later calls may omit them).
     """
 
     def __init__(self) -> None:

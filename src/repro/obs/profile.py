@@ -22,6 +22,7 @@ are identical with profiling on or off.
 from __future__ import annotations
 
 import cProfile
+import marshal
 import pstats
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,10 +48,10 @@ def default_profile_dir(cache_root: Union[str, Path, None] = None) -> Path:
 def capture_profile(path: Union[str, Path, None]):
     """Profile the block into ``path`` (no-op when ``path`` is None).
 
-    Dumps standard ``pstats`` marshal data, so captures are loadable by
-    any :mod:`pstats` tooling, not just this module.  The dump happens
-    even when the block raises — a timed-out job's partial profile is
-    exactly the interesting one.
+    Dumps standard ``pstats`` marshal data (:func:`_snapshot_stats`), so
+    captures are loadable by any :mod:`pstats` tooling, not just this
+    module.  The dump happens even when the block raises — a timed-out
+    job's partial profile is exactly the interesting one.
     """
     if path is None:
         yield
@@ -63,7 +64,45 @@ def capture_profile(path: Union[str, Path, None]):
     finally:
         profiler.disable()
         path.parent.mkdir(parents=True, exist_ok=True)
-        profiler.dump_stats(str(path))
+        with open(path, "wb") as out:
+            marshal.dump(_snapshot_stats(profiler), out)
+
+
+def _snapshot_stats(profiler: cProfile.Profile) -> Dict:
+    """The profiler's ``pstats`` table, every call counted.
+
+    ``pstats`` keys a function by ``(file, line, name)``.  Different code
+    objects can share a key — every dataclass-generated ``__init__`` is
+    compiled at ``<string>:2`` — and cProfile's own snapshot keeps only
+    the last one's row.  This one sums the rows that share a key: calls,
+    primitive calls, times and callers.
+    """
+    stats: Dict = {}
+    callers_of: Dict[int, Dict] = {}  # id(code) -> its key's callers
+    entries = profiler.getstats()
+    for entry in entries:
+        func = cProfile.label(entry.code)
+        nc = entry.callcount
+        cc = nc - entry.reccallcount
+        row = stats.get(func)
+        if row is None:
+            row = (0, 0, 0.0, 0.0, {})
+        stats[func] = (row[0] + cc, row[1] + nc, row[2] + entry.inlinetime,
+                       row[3] + entry.totaltime, row[4])
+        callers_of[id(entry.code)] = row[4]
+    for entry in entries:
+        func = cProfile.label(entry.code)
+        for sub in entry.calls or ():
+            callers = callers_of.get(id(sub.code))
+            if callers is None:
+                continue
+            nc = sub.callcount
+            prev = callers.get(func, (0, 0, 0.0, 0.0))
+            # pstats caller tuples hold (calls, primitive calls, ...).
+            callers[func] = (prev[0] + nc, prev[1] + nc - sub.reccallcount,
+                             prev[2] + sub.inlinetime,
+                             prev[3] + sub.totaltime)
+    return stats
 
 
 def profile_paths(root: Union[str, Path]) -> List[Path]:

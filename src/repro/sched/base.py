@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.lfsr import default_seed
+from repro.core.lfsr import LFSR16, default_seed
 
 
 class AdmissionView(NamedTuple):
@@ -87,17 +87,14 @@ class PEScheduler:
     """
 
     __slots__ = ("policy", "accel", "pe_id", "tile_id", "lfsr",
-                 "counts_steals", "num_victims")
+                 "counts_steals", "num_victims", "hops")
 
     def __init__(self, policy: "SchedulingPolicy", pe) -> None:
         self.policy = policy
         self.accel = pe.accel
         self.pe_id = pe.pe_id
         self.tile_id = pe.tile_id
-        # The draw stream comes from the kernel (docs/KERNEL.md) so a
-        # compiled backend can inline it; the bit sequence is pinned to
-        # LFSR16 either way.
-        self.lfsr = pe.accel.engine.lfsr(default_seed(pe.pe_id))
+        self.lfsr = LFSR16(default_seed(pe.pe_id))
         # Steal statistics measure load balancing *between PEs*.  A
         # single-PE machine has no peers: its only victim is the IF
         # block, and those root-fetch handshakes are interface protocol,
@@ -107,6 +104,15 @@ class PEScheduler:
         #: Size of the victim space (``accel.num_victims``), fixed for
         #: the accelerator's life.
         self.num_victims = pe.accel.num_victims
+        #: This PE's distance in crossbar hops to each victim id — the
+        #: one home of the hop rule: a victim on the thief's tile is 0
+        #: hops away, any other (the IF block included) 1.  Empty on a
+        #: PE that never steals (LiteArch has no victim tiles to map).
+        self.hops: Sequence[int] = ()
+        if pe.steal_enabled:
+            tile = self.tile_id
+            self.hops = [0 if t == tile else 1
+                         for t in pe.accel.victim_tiles]
 
     # -- decision point 1: victim selection ----------------------------
     def pick_victim(self) -> int:
@@ -124,9 +130,9 @@ class PEScheduler:
         injected fault): no response, so nothing was observed."""
 
     # -- parked-PE steal replay ------------------------------------------
-    def replay_misses(self, net, victim_tiles: Sequence[int], backoff: int,
-                      start: Tuple[int, int, int], key: Tuple[int, int, int],
-                      tel=None) -> Tuple[tuple, int, List[int]]:
+    def replay_misses(self, net, backoff: int, start: Tuple[int, int, int],
+                      key: Tuple[int, int, int], tel=None
+                      ) -> Tuple[tuple, int, List[int]]:
         """Replay the failed steals of this PE, parked at the loop-top
         event ``start`` = ``(time, s_at, p_s_at)``, up to the waking
         event ``key`` (``repro/arch/wakeup.py``).
@@ -136,8 +142,7 @@ class PEScheduler:
         policy's miss observation (``note_steal(victim, 0, 0)``, an empty
         queue's response), the network's latencies and message counts
         and the telemetry ``tel`` records are charged here exactly as the
-        polling loop would have.  ``victim_tiles`` maps victim ids to
-        tiles and ``backoff`` is ``steal_backoff_cycles``.
+        polling loop would have.  ``backoff`` is ``steal_backoff_cycles``.
 
         Returns ``(resume, attempts, times)``.  ``resume`` is ``(time,
         s_at, p_s_at, value, elided)``: the PE re-enters real execution
@@ -153,6 +158,8 @@ class PEScheduler:
         """
         pick_victim = self.pick_victim
         note_steal = self.note_steal
+        victim_tiles = self.accel.victim_tiles
+        hops = self.hops
         request_latency = net.steal_request_latency
         response_latency = net.steal_response_latency
         thief_tile = self.tile_id
@@ -168,8 +175,7 @@ class PEScheduler:
             # timestamps so the recorded steal timeline matches the
             # polling execution (exports sort by timestamp).
             if tel is not None:
-                hops = 0 if victim_tile == thief_tile else 1
-                tel.steal_request(pe_id, victim, ts=f, hops=hops)
+                tel.steal_request(pe_id, victim, ts=f, hops=hops[victim])
             probe = f + request_latency(thief_tile, victim_tile)
             times.append(probe)
             if (probe, f, s) >= key:
@@ -182,8 +188,8 @@ class PEScheduler:
                 return (probe, f, s, victim, 3 * attempts - 2), attempts, times
             note_steal(victim, 0, 0)
             if tel is not None:
-                tel.steal_result(pe_id, victim, None, ts=probe, hops=hops,
-                                 count=0)
+                tel.steal_result(pe_id, victim, None, ts=probe,
+                                 hops=hops[victim], count=0)
             nack = probe + response_latency(thief_tile, victim_tile)
             f, s, p = nack + backoff, nack, probe
             times += (nack, f)

@@ -35,15 +35,13 @@ class HierarchicalScheduler(PEScheduler):
 
     def __init__(self, policy: "HierarchicalPolicy", pe) -> None:
         super().__init__(policy, pe)
-        accel = pe.accel
-        config = accel.config
-        victims: List[int] = [v for v in range(accel.num_victims)
-                              if v != self.pe_id]
-        self.local = [v for v in victims
-                      if v < config.num_pes
-                      and config.tile_of(v) == self.tile_id]
+        # Every other victim, split by the hop table (which is empty on
+        # a PE that never steals, and maps this PE itself to 0 hops).
+        self.local: List[int] = [v for v, hops in enumerate(self.hops)
+                                 if not hops and v != self.pe_id]
         self._local_set = frozenset(self.local)
-        self.remote = [v for v in victims if v not in self._local_set]
+        self.remote: List[int] = [v for v, hops in enumerate(self.hops)
+                                  if hops]
         self.local_misses = 0
 
     def pick_victim(self) -> int:

@@ -38,16 +38,14 @@ class OccupancyScheduler(PEScheduler):
         super().__init__(policy, pe)
         self.hints: Dict[int, int] = {}
 
-    def _hops(self, victim_id: int) -> int:
-        return 0 if self.accel.victim_tile(victim_id) == self.tile_id else 1
-
     def pick_victim(self) -> int:
         best = -1
         best_key = None
+        hops = self.hops
         for victim, depth in self.hints.items():
             if depth <= 0:
                 continue
-            key = (depth, -self._hops(victim), -victim)
+            key = (depth, -hops[victim], -victim)
             if best_key is None or key > best_key:
                 best, best_key = victim, key
         if best >= 0:

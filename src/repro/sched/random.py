@@ -23,8 +23,7 @@ class RandomScheduler(PEScheduler):
     def pick_victim(self) -> int:
         return self.lfsr.pick_victim(self.num_victims, self.pe_id)
 
-    def replay_misses(self, net, victim_tiles, backoff, start, key,
-                      tel=None):
+    def replay_misses(self, net, backoff, start, key, tel=None):
         """The base replay, flattened: a miss leaves no state but the
         LFSR, so each attempt is one draw and no ``note_steal`` (the
         base no-op).  The network's latencies for a tile-local and a
@@ -32,12 +31,12 @@ class RandomScheduler(PEScheduler):
         charged in bulk at the end.  With telemetry the base loop runs,
         since it emits per-attempt events."""
         if tel is not None:
-            return PEScheduler.replay_misses(self, net, victim_tiles,
-                                             backoff, start, key, tel)
+            return PEScheduler.replay_misses(self, net, backoff, start, key,
+                                             tel)
         draw = self.lfsr.pick_victim
         num_victims = self.num_victims
         pe_id = self.pe_id
-        thief_tile = self.tile_id
+        hops = self.hops
         request_local, response_local = net.steal_latencies(True)
         request_remote, response_remote = net.steal_latencies(False)
         f, s, p = start
@@ -49,18 +48,18 @@ class RandomScheduler(PEScheduler):
         while f < key_tick or f == key_tick and (s, p) < key_rest:
             victim = draw(num_victims, pe_id)
             attempts += 1
-            if victim_tiles[victim] == thief_tile:
+            if hops[victim]:
+                request, response = request_remote, response_remote
+            else:
                 local += 1
                 request, response = request_local, response_local
-            else:
-                request, response = request_remote, response_remote
             probe = f + request
             times.append(probe)
             if probe > key_tick or probe == key_tick and (f, s) >= key_rest:
                 resume = (probe, f, s, victim, 3 * attempts - 2)
                 # This attempt's response belongs to the real probe.
                 answered = attempts - 1
-                answered_local = local - (victim_tiles[victim] == thief_tile)
+                answered_local = local - (hops[victim] == 0)
                 break
             nack = probe + response
             f, s, p = nack + backoff, nack, probe

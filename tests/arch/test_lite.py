@@ -56,6 +56,22 @@ def test_requires_lite_config():
         LiteAccelerator(flex_config(4), EchoWorker())
 
 
+@pytest.mark.parametrize("policy", ["random", "hierarchical"])
+def test_pes_never_steal_and_steal_services_raise(policy):
+    accel = LiteAccelerator(lite_config(8, memory="perfect",
+                                        steal_policy=policy), EchoWorker())
+    for pe in accel.pes:
+        assert not pe.steal_enabled
+        assert pe.sched.hops == ()
+    with pytest.raises(ProtocolError):
+        accel.victim_tiles
+    with pytest.raises(ProtocolError):
+        accel.steal_from(0)
+    result = accel.run(EchoProgram(8))
+    assert result.total_steals == 0
+    assert all(s.steal_attempts == 0 for s in result.pe_stats)
+
+
 def test_more_pes_faster():
     slow, _ = run_echo(32, 1)
     fast, _ = run_echo(32, 8)

@@ -249,6 +249,24 @@ def test_negative_counts_rejected(tmp_path, capsys, argv, flag):
     assert f"argument {flag}: must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["run", "fib", "--pes", "7"],
+                 "7 PEs not divisible into tiles of 4", id="pes-7"),
+    pytest.param(["run", "fib", "--pes", "0"],
+                 "need at least one PE: 0", id="pes-0"),
+    pytest.param(["run", "fib", "--engine", "lite"],
+                 "fib has no LiteArch implementation", id="fib-lite"),
+    pytest.param(["run", "fib", "--arrivals", "2:x"],
+                 "--arrivals must be RATE:N[:SEED], got '2:x'",
+                 id="arrivals-2:x"),
+])
+def test_run_config_error_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"repro: error: {message}\n"
+    assert captured.out == ""
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nonesuch"])

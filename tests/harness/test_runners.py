@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.exceptions import ConfigError
 from repro.harness.runners import (
     QUICK_PARAMS,
     VerificationError,
@@ -39,7 +40,7 @@ def test_run_cpu_clock_domain():
 
 
 def test_run_lite_requires_port():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="no LiteArch implementation"):
         run_lite("cilksort", 2, quick=True)
 
 

@@ -16,9 +16,7 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.kernel.interface import (
-    ChannelBase,
     Event,
-    Get,
     Park,
     Process,
     SimKernel,
@@ -28,19 +26,8 @@ from repro.kernel.interface import (
 )
 
 
-class ReferenceChannel(ChannelBase):
-    """Channel delivering through a scheduled closure."""
-
-    __slots__ = ()
-
-    def _schedule_delivery(self, delay: int, item: Any) -> None:
-        self.engine.schedule(delay, lambda: self._deliver(item))
-
-
 class ReferenceEngine(SimKernel):
     """Discrete-event kernel driving processes through per-event closures."""
-
-    channel_type = ReferenceChannel
 
     def __init__(self) -> None:
         super().__init__()
@@ -92,8 +79,6 @@ class ReferenceEngine(SimKernel):
     def _dispatch(self, proc: Process, request: Any) -> None:
         if isinstance(request, Timeout):
             self._schedule_resume(proc, request.delay, None)
-        elif isinstance(request, Get):
-            request.channel._add_getter(proc)
         elif isinstance(request, Event):
             request._add_waiter(proc)
         elif isinstance(request, Process):
@@ -108,9 +93,8 @@ class ReferenceEngine(SimKernel):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
-        events = 0
+    def run(self, until: Optional[int] = None) -> int:
+        ran = False
         heap = self._heap
         pop = heapq.heappop
         while heap:
@@ -125,10 +109,8 @@ class ReferenceEngine(SimKernel):
             self._cur_s_at = entry[1]
             self._cur_p_s_at = entry[2]
             entry[4]()
-            events += 1
-            if max_events is not None and events >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-        if events:
+            ran = True
+        if ran:
             self.last_event_time = self.now
         # A bounded run always ends at its horizon, whether it stopped
         # early or drained the heap.

@@ -16,13 +16,11 @@ import pytest
 from repro.core.exceptions import ConfigError
 from repro.exec import make_spec
 from repro.harness.runners import run_flex
+from repro.core.lfsr import LFSR16
 from repro.kernel import (
     BACKENDS,
-    FastChannel,
     FastEngine,
-    Get,
     Park,
-    SimulationError,
     Timeout,
     make_engine,
     resolve_backend,
@@ -38,10 +36,8 @@ ENGINES = {"reference": ReferenceEngine, "fast": make_engine}
 # The one kernel and its hooks
 # ----------------------------------------------------------------------
 
-def test_make_engine_wires_backend_and_channel_type():
-    eng = make_engine()
-    assert type(eng) is FastEngine
-    assert type(eng.channel()) is FastChannel
+def test_make_engine_builds_the_fast_engine():
+    assert type(make_engine()) is FastEngine
 
 
 def test_perfbench_kernel_hook():
@@ -98,65 +94,127 @@ def test_backends_identical_on_full_observables(name, pes, kwargs,
 # ----------------------------------------------------------------------
 
 def _random_workload(eng, trace, seed):
-    """A seeded tangle of processes exercising every kernel primitive.
+    """A seeded tangle of processes exercising every kernel operation.
 
-    Uses the kernel's own LFSR so both engines draw the same stream.
-    Mixes plain timeouts (run-ahead candidates), channel traffic,
-    events, joins, parks and same-tick resume_at with past virtual
-    ancestry — the insert paths the fast engine's buckets must keep
-    sorted.
+    Draws every choice from one ``LFSR16(seed)`` stream, so both engines
+    see the same choices as long as they run events in the same order.
+    Mixes scheduled callbacks, plain timeouts (run-ahead candidates),
+    ``Timeout(0)`` yields, events, joins, parks, and ``resume_at`` with
+    past, present and future virtual ancestry, at this tick and at later
+    ones.  That reaches every insert path the fast engine's tick buckets
+    keep sorted (a new tick, an append, an insort after the drain cursor
+    and a plain insort, from ``_insert`` and from the run loop's inlined
+    insert), both run-ahead vetoes and the run-ahead step itself.
     """
-    lfsr = eng.lfsr(seed)
-    ch = eng.channel(latency=2, interval=3)
-    evt = eng.event("gate")
-    parked = []
+    lfsr = LFSR16(seed)
 
-    def sleeper(tag):
-        value = yield Park()
-        trace.append(("woke", tag, eng.now, value))
+    def draw(n):
+        return lfsr.next() % n
 
-    def producer(tag, rounds):
+    gates = [eng.event(f"gate{k}") for k in range(3)]
+    parked = []  # parked processes, in park order
+
+    def wake(tag, ahead, ancestry):
+        """Resume one parked process ``ahead`` ticks from now, with its
+        virtual ancestry ``ancestry`` ticks from now (negative: in the
+        past); return the resume tick, or None when nobody is parked."""
+        if not parked:
+            return None
+        proc = parked.pop(draw(len(parked)))
+        now = eng.now
+        time = now + ahead
+        s_at = max(0, now + ancestry)
+        p_s_at = max(0, s_at - draw(3))
+        trace.append(("wake", tag, proc.name, now, time, s_at, p_s_at))
+        eng.resume_at(proc, time, tag, s_at, p_s_at)
+        return time
+
+    def callback(tag, depth):
+        trace.append(("call", tag, depth, eng.now))
+        action = draw(4)
+        if action == 0 and depth < 3:
+            eng.schedule(draw(4), lambda: callback(tag, depth + 1))
+        elif action == 1:
+            # Past ancestry, at this tick or a later one: the record
+            # sorts ahead of records already there.
+            wake(tag, draw(2) * (1 + draw(6)), -1)
+        elif action == 2:
+            gate = gates[draw(len(gates))]
+            if not gate.triggered:
+                gate.trigger((tag, eng.now))
+
+    def sleeper(tag, box, naps):
+        for _ in range(naps):
+            parked.append(box[0])
+            value = yield Park()
+            trace.append(("woke", tag, eng.now, value))
+            yield Timeout(draw(3))
+        trace.append(("sleeper-done", tag, eng.now))
+        return tag
+
+    def worker(tag, rounds, peers):
         for i in range(rounds):
-            yield Timeout(1 + lfsr.next() % 7)
-            ch.put((tag, i))
-            trace.append(("put", tag, i, eng.now))
-            if lfsr.next() % 4 == 0 and parked:
-                proc = parked.pop()
-                # Wake with *past* virtual ancestry at the current
-                # tick: lands mid-bucket, ahead of later same-tick
-                # records — the insort path.
-                eng.resume_at(proc, eng.now, tag,
-                              max(0, eng.now - 1), max(0, eng.now - 2))
-        trace.append(("producer-done", tag, eng.now))
-
-    def consumer(tag, count):
-        for _ in range(count):
-            item = yield Get(ch)
-            trace.append(("got", tag, item, eng.now))
-            yield Timeout(lfsr.next() % 5)
-        trace.append(("consumer-done", tag, eng.now))
+            action = draw(6)
+            if action == 0:
+                yield Timeout(1 + draw(7))
+            elif action == 1:
+                eng.schedule(draw(4), lambda i=i: callback((tag, i), 0))
+                yield Timeout(draw(3))
+            elif action == 2:
+                # Present ancestry at this tick: the woken record lands
+                # after the cursor, and this Timeout(0) sorts ahead of it.
+                wake(tag, 0, 0)
+                yield Timeout(0)
+            elif action == 3:
+                # Future ancestry at a later tick; a callback and this
+                # process's own timeout land there ahead of it, while a
+                # callback pending at this tick keeps it from running
+                # ahead.
+                ahead = 1 + draw(6)
+                if wake(tag, ahead, 1 + draw(ahead)) is not None:
+                    eng.schedule(ahead, lambda i=i: callback((tag, i), 1))
+                eng.schedule(0, lambda i=i: callback((tag, i), 0))
+                yield Timeout(ahead)
+            elif action == 4:
+                payload = yield gates[draw(len(gates))]
+                trace.append(("gated", tag, i, eng.now, payload))
+            else:
+                peer = peers[draw(len(peers))]
+                value = yield peer
+                trace.append(("joined", tag, i, peer.name, value, eng.now))
+            trace.append(("step", tag, i, eng.now))
+        trace.append(("worker-done", tag, eng.now))
+        return tag
 
     def chain(tag, links):
         # Serial chain: the run-ahead fast path.
         for _ in range(links):
             yield Timeout(3)
         trace.append(("chain-done", tag, eng.now))
-        evt.trigger(tag)
+        for gate in gates:
+            if not gate.triggered:
+                gate.trigger(tag)
+        return tag
 
-    def joiner(proc, tag):
-        value = yield proc
-        trace.append(("joined", tag, value, eng.now))
-        gate = yield evt
-        trace.append(("gated", tag, gate, eng.now))
+    def reaper(tag, first):
+        # Once the chain is done, wake sleepers until every one has
+        # finished, so every process ends and every join resolves.
+        yield first
+        while not all(proc.done for proc in sleepers):
+            wake(tag, draw(3), -draw(2))
+            yield Timeout(1 + draw(3))
+        trace.append(("reaper-done", tag, eng.now))
 
-    for k in range(3):
-        parked.append(eng.process(sleeper(k), name=f"sleeper{k}"))
-    p = eng.process(producer("p0", 12), name="p0")
-    eng.process(producer("p1", 9), name="p1")
-    eng.process(consumer("c0", 14), name="c0")
-    eng.process(consumer("c1", 7), name="c1")
-    eng.process(chain("chain", 40), name="chain")
-    eng.process(joiner(p, "j0"), name="j0")
+    sleepers = []
+    for k in range(4):
+        box = []
+        box.append(eng.process(sleeper(f"s{k}", box, 8), name=f"s{k}"))
+        sleepers.append(box[0])
+    peers = [eng.process(chain("chain", 40), name="chain")] + sleepers
+    eng.process(reaper("r", peers[0]), name="reaper")
+    for k in range(4):
+        peers.append(eng.process(worker(f"w{k}", 30, list(peers)),
+                                 name=f"w{k}"))
 
 
 @pytest.mark.parametrize("seed", [0xACE1, 0xBEEF, 0x1234])
@@ -219,31 +277,6 @@ def test_serial_chain_runs_ahead_to_the_same_end():
                           eng.pending_events, eng.finished)
     assert outcomes["fast"] == outcomes["reference"]
     assert outcomes["fast"] == (links * 7, [links * 7], 0, 0, True)
-
-
-def test_max_events_parity_across_backends():
-    """Both engines must count events identically: the guard trips at
-    the same threshold whether or not run-ahead elided heap traffic."""
-
-    def build(eng, log):
-        def spinner():
-            while True:
-                yield Timeout(1)
-                log.append(eng.now)
-
-        eng.process(spinner(), name="spin")
-
-    thresholds = {}
-    for name, make in ENGINES.items():
-        for limit in (1, 2, 7, 50):
-            eng = make()
-            log = []
-            build(eng, log)
-            with pytest.raises(SimulationError):
-                eng.run(max_events=limit)
-            thresholds[(name, limit)] = (len(log), eng.now)
-    for limit in (1, 2, 7, 50):
-        assert thresholds[("fast", limit)] == thresholds[("reference", limit)]
 
 
 def test_mid_bucket_failure_leaves_suffix_pending():

@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     record_metrics,
 )
-from repro.sim.stats import Histogram as SampleHistogram
 
 
 def test_counter_and_gauge_basics():
@@ -64,13 +63,94 @@ def test_histogram_requires_buckets():
 
 
 def test_histogram_merge_rebuckets_foreign_samples():
-    plain = SampleHistogram("src")
+    other = Histogram("src", buckets=(1,))
     for sample in (1, 50, 5000):
-        plain.record(sample)
+        other.record(sample)
     h = Histogram("dst", buckets=(10, 100))
-    h.merge(plain)
+    h.merge(other)
     assert h.count == 3
     assert h.bucket_counts == [1, 1, 1]
+
+
+# -- raw-sample statistics ---------------------------------------------
+
+
+def test_histogram_summary():
+    h = Histogram("lat")
+    for sample in (2, 8, 5):
+        h.record(sample)
+    assert h.count == 3
+    assert h.mean == 5.0
+    assert h.minimum == 2
+    assert h.maximum == 8
+
+
+def test_histogram_empty_mean():
+    assert Histogram("e").mean == 0.0
+
+
+def test_histogram_empty_extremes():
+    h = Histogram("e")
+    assert h.count == 0
+    assert h.minimum is None
+    assert h.maximum is None
+
+
+def test_histogram_single_sample():
+    h = Histogram("one")
+    h.record(7)
+    assert (h.count, h.mean, h.minimum, h.maximum) == (1, 7.0, 7, 7)
+
+
+def test_histogram_negative_and_zero_samples():
+    h = Histogram("z")
+    h.record(0)
+    h.record(-3)
+    assert h.minimum == -3
+    assert h.maximum == 0
+
+
+def test_histogram_percentiles_nearest_rank():
+    h = Histogram("p")
+    for sample in range(1, 101):      # 1..100
+        h.record(sample)
+    assert h.percentile(50) == 50
+    assert h.percentile(95) == 95
+    assert h.percentile(99) == 99
+    assert h.percentile(100) == 100
+    assert h.percentiles() == {"p50": 50.0, "p95": 95.0, "p99": 99.0}
+
+
+def test_histogram_percentile_small_and_empty():
+    h = Histogram("p")
+    assert h.percentile(50) is None
+    assert h.percentiles() == {"p50": None, "p95": None, "p99": None}
+    h.record(7)
+    assert h.percentile(1) == 7.0
+    assert h.percentile(99) == 7.0
+
+
+def test_histogram_percentile_unsorted_input():
+    h = Histogram("p")
+    for sample in (9, 1, 5, 3, 7):
+        h.record(sample)
+    assert h.percentile(50) == 5.0
+    assert h.percentile(20) == 1.0
+
+
+def test_histogram_merge_is_lossless():
+    a, b = Histogram("a"), Histogram("b")
+    for sample in (1, 2, 3):
+        a.record(sample)
+    for sample in (10, 20):
+        b.record(sample)
+    a.merge(b)
+    assert a.count == 5
+    assert a.total == 36
+    assert a.minimum == 1 and a.maximum == 20
+    assert a.percentile(50) == 3.0
+    # merge replays samples, so b is untouched
+    assert b.count == 2
 
 
 def test_registry_merge_folds_everything():

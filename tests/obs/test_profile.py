@@ -1,5 +1,7 @@
 """cProfile capture and cross-job hot-function aggregation."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.obs.profile import (
@@ -33,6 +35,38 @@ def test_capture_writes_pstats(tmp_path):
     stats = aggregate([path])
     assert stats is not None
     assert any(name == "_burn" for (_, _, name) in stats.stats)
+
+
+@dataclass
+class _Alpha:
+    x: int
+
+
+@dataclass
+class _Beta:
+    y: int
+
+
+def _build(cls, n: int) -> None:
+    for i in range(n):
+        cls(i)
+
+
+def test_capture_counts_functions_that_share_a_key(tmp_path):
+    """Both dataclasses' generated ``__init__``s sit at ``<string>:2``,
+    which pstats reads as one function: its row sums both."""
+    path = tmp_path / "records.pstats"
+    with capture_profile(path):
+        _build(_Alpha, 300)
+        _build(_Beta, 70)
+    rows = hot_functions([path], top=1000)
+    init = [r for r in rows if r["function"] == "<string>:2(__init__)"]
+    assert [(r["ncalls"], r["primcalls"]) for r in init] == [(370, 370)]
+    # Its callers are summed too: _build called it 370 times.
+    stats = aggregate([path])
+    callers = stats.stats[("<string>", 2, "__init__")][4]
+    assert {name: c[0] for (_, _, name), c in callers.items()} == {
+        "_build": 370}
 
 
 def test_capture_dumps_on_exception(tmp_path):

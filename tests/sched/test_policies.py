@@ -96,6 +96,13 @@ def test_lite_round_placement_is_round_robin():
 
 # -- hierarchical victim selection --------------------------------------
 
+def test_hop_table_is_zero_on_the_thiefs_tile_only():
+    accel = build_flex(8)  # 2 tiles of 4, then the IF block (id 8)
+    assert accel.victim_tiles == [0, 0, 0, 0, 1, 1, 1, 1, -1]
+    assert accel.pes[1].sched.hops == [0, 0, 0, 0, 1, 1, 1, 1, 1]
+    assert accel.pes[6].sched.hops == [1, 1, 1, 1, 0, 0, 0, 0, 1]
+
+
 def test_hierarchical_partitions_victims_by_tile():
     accel = build_flex(8, steal_policy="hierarchical")  # 2 tiles of 4
     sched = accel.pes[1].sched

@@ -25,12 +25,13 @@ from repro.sched.random import RandomScheduler
 IF_TILE = 9
 
 
-def make_scheduler(num_victims, pe_id, tile_id, seed):
+def make_scheduler(victim_tiles, pe_id, tile_id, seed):
     """A random-policy scheduler outside an accelerator."""
-    accel = SimpleNamespace(engine=SimpleNamespace(lfsr=LFSR16),
-                            config=SimpleNamespace(num_pes=num_victims),
-                            num_victims=num_victims)
-    pe = SimpleNamespace(accel=accel, pe_id=pe_id, tile_id=tile_id)
+    accel = SimpleNamespace(config=SimpleNamespace(num_pes=len(victim_tiles)),
+                            num_victims=len(victim_tiles),
+                            victim_tiles=victim_tiles)
+    pe = SimpleNamespace(accel=accel, pe_id=pe_id, tile_id=tile_id,
+                         steal_enabled=True)
     sched = RandomScheduler(None, pe)
     sched.lfsr = LFSR16(seed)
     return sched
@@ -64,7 +65,6 @@ def replay_cases(draw):
     tiles = draw(st.lists(st.sampled_from([0, 1, 2, 3, IF_TILE]),
                           min_size=num_victims, max_size=num_victims))
     return dict(
-        num_victims=num_victims,
         victim_tiles=tiles,
         pe_id=draw(st.integers(0, num_victims - 1)),
         thief_tile=draw(st.integers(0, 3)),
@@ -86,13 +86,12 @@ def replay_cases(draw):
 
 
 def run_replay(case, key, replay, tel=None):
-    sched = make_scheduler(case["num_victims"], case["pe_id"],
+    sched = make_scheduler(case["victim_tiles"], case["pe_id"],
                            case["thief_tile"], case["seed"])
     net = make_network(case["network"], case["queue_op"], case["hop"],
                        case["request"], case["response"])
-    resume, attempts, times = replay(sched, net, case["victim_tiles"],
-                                     case["backoff"], case["start"], key,
-                                     tel)
+    resume, attempts, times = replay(sched, net, case["backoff"],
+                                     case["start"], key, tel)
     stats = net.steal_stats
     return dict(resume=resume, attempts=attempts, times=times,
                 lfsr=sched.lfsr.state,
@@ -151,7 +150,7 @@ def test_telemetry_runs_take_the_base_loop(case):
 def test_replay_charges_the_software_network_as_remote():
     """The software runtime counts every steal message as remote, even
     to a victim on the thief's own tile."""
-    case = dict(num_victims=4, victim_tiles=[0, 0, 0, 0], pe_id=0,
+    case = dict(victim_tiles=[0, 0, 0, 0], pe_id=0,
                 thief_tile=0, seed=1, network="software", queue_op=1, hop=1,
                 request=200, response=250, backoff=3, start=(0, 0, 0),
                 horizon=0, key_pick=0, nudge=None)

@@ -10,7 +10,6 @@ import pytest
 
 from repro.kernel import (
     FastEngine,
-    Get,
     Park,
     SimulationError,
     Timeout,
@@ -281,18 +280,6 @@ def test_resume_at_virtual_ancestry_orders_same_tick_events(Engine):
     eng.process(producer())
     eng.run()
     assert order == ["resumed", "producer"]
-
-
-def test_max_events_guard(Engine):
-    eng = Engine()
-
-    def spinner():
-        while True:
-            yield Timeout(1)
-
-    eng.process(spinner())
-    with pytest.raises(SimulationError):
-        eng.run(max_events=100)
 
 
 def test_unsupported_yield_raises(Engine):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.exceptions import ConfigError
 from repro.core.executor import ReferenceScheduler, SerialExecutor
 from repro.harness.runners import (
     bench_params,
@@ -56,7 +57,7 @@ def test_lite_engine_verifies(name):
 
 
 def test_cilksort_has_no_lite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_lite("cilksort", 4, quick=True)
 
 
