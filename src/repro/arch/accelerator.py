@@ -306,6 +306,8 @@ class FlexAccelerator(BaseAccelerator):
                            ecc=config.pstore_ecc)
             for t in range(config.num_tiles)
         ]
+        # Read by every argument delivery that readies a task.
+        self._greedy = config.greedy
 
     # -- work-stealing victim space: all PEs plus the IF block -----------
     @property
@@ -379,10 +381,8 @@ class FlexAccelerator(BaseAccelerator):
         """
         self.add_work()  # the in-flight argument
         if cont.owner == HOST:
-            latency = self.config.net_hop_cycles
-            self.engine.schedule(
-                latency, lambda: self._deliver_host(cont, value)
-            )
+            self.engine.schedule(self.config.net_hop_cycles,
+                                 self._deliver_host, cont, value)
             return
         latency = self.net.arg_latency(from_tile, cont.owner)
         local = from_tile == cont.owner
@@ -408,8 +408,7 @@ class FlexAccelerator(BaseAccelerator):
                     self.telemetry.recovery("arg-retransmit", pe=pe_id)
                 self.engine.schedule(
                     latency + self.config.arg_retransmit_cycles + retrans,
-                    lambda: self._deliver_arg(pe_id, from_tile, cont,
-                                              value, local),
+                    self._deliver_arg, pe_id, from_tile, cont, value, local,
                 )
                 return
             if kind == "dup":
@@ -417,24 +416,18 @@ class FlexAccelerator(BaseAccelerator):
                 # real second message slightly behind it.
                 dup_latency = self.net.arg_latency(from_tile, cont.owner)
                 self.add_work()  # the duplicate in flight
-                self.engine.schedule(
-                    latency, lambda: self._deliver_arg(pe_id, from_tile,
-                                                       cont, value, local)
-                )
-                self.engine.schedule(
-                    latency + dup_latency,
-                    lambda: self._deliver_arg(pe_id, from_tile, cont, value,
-                                              local, duplicate=True),
-                )
+                self.engine.schedule(latency, self._deliver_arg, pe_id,
+                                     from_tile, cont, value, local)
+                self.engine.schedule(latency + dup_latency,
+                                     self._deliver_arg, pe_id, from_tile,
+                                     cont, value, local, True)  # duplicate
                 return
             # Delayed in the network: absorbed by the asynchronous
             # protocol, no recovery mechanism required.
             latency += extra
             self.faults.note_recovery(ARG_DELAY)
-        self.engine.schedule(
-            latency,
-            lambda: self._deliver_arg(pe_id, from_tile, cont, value, local),
-        )
+        self.engine.schedule(latency, self._deliver_arg, pe_id, from_tile,
+                             cont, value, local)
 
     def _deliver_host(self, cont: Continuation, value) -> None:
         if self.telemetry is not None:
@@ -477,7 +470,7 @@ class FlexAccelerator(BaseAccelerator):
         # produced the last argument (Section III-A).  The non-greedy
         # ablation returns it to the entry's creator instead, read before
         # the delivery can free the entry.
-        if self.config.greedy:
+        if self._greedy:
             target_pe, target_tile = producer_pe, producer_tile
         else:
             target_pe = pstore.table.entry(cont.entry).creator
@@ -492,10 +485,7 @@ class FlexAccelerator(BaseAccelerator):
         # ready task is now in flight (+1): net -1.
         self.sub_work()
         latency = self.net.task_return_latency(cont.owner, target_tile)
-        self.engine.schedule(
-            latency,
-            lambda: self._enqueue_ready(target_pe, ready),
-        )
+        self.engine.schedule(latency, self._enqueue_ready, target_pe, ready)
 
     # ------------------------------------------------------------------
     def run(
@@ -579,7 +569,7 @@ class FlexAccelerator(BaseAccelerator):
                        + self.config.offload_inject_cycles)
             write_free = visible
             self.add_work()
-            self.engine.schedule(visible, lambda j=job: self._arrive(j))
+            self.engine.schedule(visible, self._arrive, job)
         self._start_processes()
         result = self._finish(max_cycles,
                               label or f"flex{self.config.num_pes}")

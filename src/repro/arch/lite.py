@@ -105,10 +105,8 @@ class LiteAccelerator(BaseAccelerator):
                 "LiteArch workers may only send results to the host"
             )
         self.add_work()
-        self.engine.schedule(
-            self.config.net_hop_cycles,
-            lambda: self._deliver_host(cont, value),
-        )
+        self.engine.schedule(self.config.net_hop_cycles, self._deliver_host,
+                             cont, value)
 
     def _deliver_host(self, cont: Continuation, value) -> None:
         if self.telemetry is not None:
@@ -153,10 +151,8 @@ class LiteAccelerator(BaseAccelerator):
                 # default) is the scheduling policy's decision point 4.
                 pe_id = self.sched_policy.place_round_task(i)
                 self.add_work()
-                self.engine.schedule(
-                    cfg.net_hop_cycles,
-                    (lambda t=task, p=pe_id: self._enqueue_ready(p, t)),
-                )
+                self.engine.schedule(cfg.net_hop_cycles, self._enqueue_ready,
+                                     pe_id, task)
             yield self._round_event
             values = [self._round_values.get(i) for i in range(len(tasks))]
         self._set_done()

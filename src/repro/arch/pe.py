@@ -125,7 +125,6 @@ class ProcessingElement:
         self._mem_access = accel.memory.access
         self._mem_port = pe_id if cfg.memory == MEMORY_STREAM else self.tile_id
         self._period_ns = cfg.clock.period_ns
-        self._busy_since: Optional[int] = None
         # Engine process handle, set by the accelerator when it starts the
         # PE; the park registry needs it to resume a parked loop.
         self.proc = None
@@ -136,15 +135,15 @@ class ProcessingElement:
         self.exec_started_at = -1
         self.failed = False
         self.stall_reason: Optional[str] = None
-        self._exec_depth = 0
-        # Continuations allocated by the current functional attempt,
-        # tracked only while a P-Store NACK may roll them back.
+        # Continuations allocated by the latest functional attempt,
+        # tracked only under pstore_backpressure, the one configuration
+        # in which a P-Store NACK rolls them back.
         self._attempt_allocs: Optional[List[Continuation]] = None
         self._shadow_entries = 0
 
     # ------------------------------------------------------------------
     def run(self) -> Generator:
-        """Main PE loop (an engine process).
+        """Main PE loop (an engine process), and every task the PE runs.
 
         With a park registry, the idle branches suspend instead of
         spinning.  A parked PE is resumed by the registry either at a
@@ -153,47 +152,237 @@ class ProcessingElement:
         value is the victim id the replay already drew — finish that
         attempt for real).  Either way the resume tick is exactly where
         the polling loop would have been.
+
+        A task runs inline in this one frame: the functional attempt,
+        the timed replay of its ops, then its end-of-task accounting.  A
+        spawn that overflows the full queue under
+        ``spawn_overflow_inline`` suspends the spawning task's replay on
+        a stack local to the frame, runs the child through the same
+        code, and resumes the parent at its next op; the child shares
+        the parent's busy window.
         """
-        cfg = self.config
         accel = self.accel
+        cfg = self.config
+        engine = accel.engine
         registry = accel.park_registry
-        pop_local = accel.sched_policy.local_pop(self.tmu.deque)
+        tel = accel.telemetry
+        plan = accel.faults
+        stats = self.stats
+        worker = self.worker
+        pe_id = self.pe_id
+        tile_id = self.tile_id
+        deque = self.tmu.deque
+        pop_local = accel.sched_policy.local_pop(deque)
+        # Per-task constants, bound once.
+        spawn_target = accel.sched_policy.spawn_target
+        push_tail = self._push_tail
+        send_arg = accel.send_arg
+        add_work = accel.add_work
+        sub_work = accel.sub_work
+        alloc = self._alloc_successor
+        task_types = frozenset(worker.task_types)
+        backpressure = cfg.pstore_backpressure
+        allow_dynamic = accel.allow_dynamic
+        worker_units = accel.worker_units
+        scratchpad_local = accel.scratchpad_local
+        timeouts = self._timeouts
+        access = self._mem_access
+        port = self._mem_port
+        period_ns = self._period_ns
+        t_pop = self._t_pop
+        t_dispatch = self._t_dispatch
+        t_pstore_rt = self._t_pstore_rt
+        t_queue_op = self._t_queue_op
+        t_arg_issue = self._t_arg_issue
+        # Telemetry's (uid, compute, stall) marks at the running task's
+        # exec start; None without telemetry.
+        mark = None
         while not accel.done:
             task = pop_local()
             if task is not None:
-                if accel.telemetry is not None:
-                    accel.telemetry.task_dispatched(self.pe_id, task)
-                yield self._t_pop
-                yield from self._execute(task)
-                continue
-            # Fast path: a PE with no possible victim (stealing disabled,
-            # or a single-PE machine whose only peer is the IF block and
-            # the IF deque is the sole watched source) never enters the
-            # steal protocol here — *except* that a single-PE FlexArch
-            # still probes the IF block below (num_victims == 2 counts
-            # the IF).  Those root-fetch probes are timed identically to
-            # real steals but are interface protocol, not load
-            # balancing: ``sched.counts_steals`` keeps them out of the
-            # steal_attempts/steal_hits statistics (the single-PE
-            # bookkeeping fix — a 1-PE run now reports zero attempts).
-            if not self.steal_enabled or accel.num_victims < 2:
-                if registry is not None:
-                    yield registry.park(self, scope=SCOPE_LOCAL)
-                else:
-                    yield self._t_idle
-                continue
-            if registry is not None and not registry.work_visible:
-                resumed = yield registry.park(self, scope=SCOPE_GLOBAL)
-                if resumed is None:
+                if tel is not None:
+                    tel.task_dispatched(pe_id, task)
+                yield t_pop
+            else:
+                # Fast path: a PE with no possible victim (stealing
+                # disabled, or a single-PE machine whose only peer is the
+                # IF block and the IF deque is the sole watched source)
+                # never enters the steal protocol here — *except* that a
+                # single-PE FlexArch still probes the IF block below
+                # (num_victims == 2 counts the IF).  Those root-fetch
+                # probes are timed identically to real steals but are
+                # interface protocol, not load balancing:
+                # ``sched.counts_steals`` keeps them out of the
+                # steal_attempts/steal_hits statistics (the single-PE
+                # bookkeeping fix — a 1-PE run now reports zero attempts).
+                if not self.steal_enabled or accel.num_victims < 2:
+                    if registry is not None:
+                        yield registry.park(self, scope=SCOPE_LOCAL)
+                    else:
+                        yield self._t_idle
                     continue
-                stolen = yield from self._finish_steal(resumed)
-            else:
-                stolen = yield from self._steal_once()
-            if stolen is None:
-                yield self._t_backoff
-            else:
-                yield self._t_dispatch
-                yield from self._execute(stolen)
+                if registry is not None and not registry.work_visible:
+                    resumed = yield registry.park(self, scope=SCOPE_GLOBAL)
+                    if resumed is None:
+                        continue
+                    task = yield from self._finish_steal(resumed)
+                else:
+                    task = yield from self._steal_once()
+                if task is None:
+                    yield self._t_backoff
+                    continue
+                yield t_dispatch
+            start = engine.now
+            # Tasks whose replay an inline spawn suspended, innermost
+            # last, as (task, ops, mark); ops is None until the running
+            # task's functional attempt has recorded them.
+            parents = None
+            ops = None
+            while True:
+                if ops is None:
+                    # Start `task`: its functional attempt, which records
+                    # its ops; a P-Store NACK takes the retry path.
+                    self.current_task = task
+                    self.exec_started_at = engine.now
+                    if tel is not None:
+                        mark = (tel.exec_start(pe_id, task),
+                                stats.compute_cycles, stats.mem_stall_cycles)
+                    stats.tasks_executed += 1
+                    if task.task_type not in task_types:
+                        worker.check_task_type(task)
+                    shadow_sig = None
+                    if plan is not None and plan.pe_fault():
+                        shadow_sig = yield from self._transient_fault(task)
+                    ctx = WorkerContext(pe_id, alloc)
+                    if backpressure:
+                        # Only an allocation NACK rolls allocations back.
+                        self._attempt_allocs = []
+                    try:
+                        worker.execute(task, ctx)
+                    except PStoreNack as nack:
+                        ctx = yield from self._retry_nacked(task, nack)
+                    if (shadow_sig is not None
+                            and op_signature(ctx.ops) != shadow_sig):
+                        raise ProtocolError(
+                            f"non-idempotent re-execution of "
+                            f"{task.task_type!r} on pe{pe_id}: the retried "
+                            "attempt recorded a different operation stream "
+                            "than the faulted one — pe_fault_retry requires "
+                            "idempotent workers"
+                        )
+                    if not allow_dynamic and (ctx.spawned or ctx.successors):
+                        raise ProtocolError(
+                            "LiteArch workers cannot spawn tasks or create "
+                            f"successors (task {task.task_type!r})"
+                        )
+                    # Heterogeneous workers: a shared-kind task must win
+                    # its tile's shared datapath unit for its compute
+                    # duration before running.
+                    if worker_units is not None:
+                        kind = worker_units.kind(task.task_type)
+                        if kind is not None and ctx.compute_cycles:
+                            wait = worker_units.acquire(
+                                tile_id, kind, engine.now, ctx.compute_cycles
+                            )
+                            if wait:
+                                yield self._timeout(wait)
+                    ops = iter(ctx.ops)
+                # The timed op replay.  Dispatch on the record's class, the
+                # two per-op kinds first.  Compute and stall Timeouts come from the
+                # by-delay table (_timeout, inline); a stall converts to
+                # whole cycles as ClockDomain.ns_to_cycles does, with the
+                # bound period.
+                for op in ops:
+                    cls = op.__class__
+                    if cls is ComputeOp:
+                        cycles = op.cycles
+                        stats.compute_cycles += cycles
+                        timeout = timeouts.get(cycles)
+                        if timeout is None:
+                            timeout = timeouts[cycles] = Timeout(cycles)
+                        yield timeout
+                    elif cls is MemOp:
+                        if op.scratchpad and scratchpad_local:
+                            continue  # worker-local BRAM, absorbed
+                        stall_ns = access(port, op.addr, op.nbytes,
+                                          op.is_write, engine.now * period_ns)
+                        if stall_ns > 0.0:
+                            stall = ceil(stall_ns / period_ns - 1e-9)
+                            if stall:
+                                stats.mem_stall_cycles += stall
+                                if tel is not None:
+                                    tel.mem_stall(pe_id, stall)
+                                timeout = timeouts.get(stall)
+                                if timeout is None:
+                                    timeout = timeouts[stall] = Timeout(stall)
+                                yield timeout
+                    elif cls is SuccessorOp:
+                        # cont_req/cont_resp round trip to the local P-Store.
+                        yield t_pstore_rt
+                    elif cls is SpawnOp:
+                        yield t_queue_op
+                        add_work()
+                        child = op.task
+                        if tel is not None:
+                            tel.task_spawned(pe_id, child)
+                        target = spawn_target(pe_id)
+                        if target is not None and target != pe_id:
+                            # Remote placement: the child rides the task
+                            # network to the policy-chosen PE (none of the
+                            # built-in policies use this — self-push is the
+                            # hardware default — but the decision point is
+                            # the policy's).
+                            latency = accel.net.task_return_latency(
+                                tile_id, cfg.tile_of(target)
+                            )
+                            engine.schedule(latency, accel._enqueue_ready,
+                                            target, child)
+                            continue
+                        try:
+                            push_tail(child)
+                        except TaskQueueOverflowError as exc:
+                            if not cfg.spawn_overflow_inline:
+                                raise TaskQueueOverflowError(
+                                    f"pe{pe_id} task queue overflow spawning "
+                                    f"{child.task_type!r}: "
+                                    f"{len(deque)}/{deque.capacity}"
+                                    " entries — raise task_queue_entries or "
+                                    "enable spawn_overflow_inline"
+                                ) from exc
+                            # Graceful degradation: execute the child
+                            # inline, as a software runtime would on a full
+                            # deque.  Serial but correct; the spawn becomes
+                            # a nested call.
+                            stats.inline_spawns += 1
+                            if tel is not None:
+                                tel.recovery("spawn-inline", pe=pe_id,
+                                             data={"type": child.task_type})
+                            if parents is None:
+                                parents = []
+                            parents.append((task, ops, mark))
+                            task = child
+                            ops = None
+                            break
+                    elif cls is SendArgOp:
+                        yield t_arg_issue  # arg_out issue
+                        if tel is not None:
+                            tel.arg_sent(pe_id, op.cont)
+                        send_arg(pe_id, tile_id, op.cont, op.value)
+                else:
+                    # End of `task`.
+                    if tel is not None:
+                        tel.exec_end(pe_id, mark[0],
+                                     stats.compute_cycles - mark[1],
+                                     stats.mem_stall_cycles - mark[2])
+                    if not parents:
+                        break
+                    # An inline child finished: resume its parent.
+                    task, ops, mark = parents.pop()
+                    self.current_task = task
+                    sub_work()
+            stats.busy_cycles += engine.now - start
+            self.current_task = None
+            sub_work()
 
     def _steal_once(self) -> Generator:
         """One steal attempt over the work-stealing network (or several,
@@ -259,8 +448,8 @@ class ProcessingElement:
     def _timeout(self, delay: int) -> Timeout:
         """The interned ``Timeout(delay)``, built (and so validated) on
         first use; the kernel only reads ``.delay``, so one object serves
-        every yield of that delay.  ``_execute`` inlines this lookup in
-        its op loop."""
+        every yield of that delay.  ``run`` inlines this lookup in its op
+        replay."""
         timeout = self._timeouts.get(delay)
         if timeout is None:
             timeout = self._timeouts[delay] = Timeout(delay)
@@ -309,151 +498,6 @@ class ProcessingElement:
         return tasks[0]
 
     # ------------------------------------------------------------------
-    def _execute(self, task: Task) -> Generator:
-        """Run one task: functional execution, then timed op replay."""
-        accel = self.accel
-        stats = self.stats
-        tel = accel.telemetry
-        plan = accel.faults
-        engine = accel.engine
-        start = engine.now
-        # Nested calls (inline spawn on queue overflow) share the outer
-        # task's busy window; only the outermost frame charges it.
-        outermost = self._exec_depth == 0
-        prev_task = self.current_task
-        self._exec_depth += 1
-        self.current_task = task
-        self.exec_started_at = start
-        compute_before = stats.compute_cycles
-        stall_before = stats.mem_stall_cycles
-        uid = -1
-        if tel is not None:
-            uid = tel.exec_start(self.pe_id, task)
-        stats.tasks_executed += 1
-        self.worker.check_task_type(task)
-        shadow_sig = None
-        if plan is not None and plan.pe_fault():
-            shadow_sig = yield from self._transient_fault(task)
-        # The functional attempt; a P-Store NACK takes the retry path.
-        ctx = WorkerContext(self.pe_id, self._alloc_successor)
-        self._attempt_allocs = []
-        try:
-            self.worker.execute(task, ctx)
-        except PStoreNack as nack:
-            ctx = yield from self._retry_nacked(task, nack)
-        self._attempt_allocs = None
-        if shadow_sig is not None and op_signature(ctx.ops) != shadow_sig:
-            raise ProtocolError(
-                f"non-idempotent re-execution of {task.task_type!r} on "
-                f"pe{self.pe_id}: the retried attempt recorded a different "
-                "operation stream than the faulted one — pe_fault_retry "
-                "requires idempotent workers"
-            )
-        if not accel.allow_dynamic and (ctx.spawned or ctx.successors):
-            raise ProtocolError(
-                "LiteArch workers cannot spawn tasks or create successors "
-                f"(task {task.task_type!r})"
-            )
-        # Heterogeneous workers: a shared-kind task must win its tile's
-        # shared datapath unit for its compute duration before running.
-        if accel.worker_units is not None:
-            kind = accel.worker_units.kind(task.task_type)
-            if kind is not None and ctx.compute_cycles:
-                wait = accel.worker_units.acquire(
-                    self.tile_id, kind, engine.now, ctx.compute_cycles
-                )
-                if wait:
-                    yield self._timeout(wait)
-        timeouts = self._timeouts
-        access = self._mem_access
-        port = self._mem_port
-        period_ns = self._period_ns
-        scratchpad_local = accel.scratchpad_local
-        # Dispatch on the record's class, the two per-op kinds first.
-        # Compute and stall Timeouts come from the by-delay table
-        # (_timeout, inline); a stall converts to whole cycles as
-        # ClockDomain.ns_to_cycles does, with the bound period.
-        for op in ctx.ops:
-            cls = op.__class__
-            if cls is ComputeOp:
-                cycles = op.cycles
-                stats.compute_cycles += cycles
-                timeout = timeouts.get(cycles)
-                if timeout is None:
-                    timeout = timeouts[cycles] = Timeout(cycles)
-                yield timeout
-            elif cls is MemOp:
-                if op.scratchpad and scratchpad_local:
-                    continue  # worker-local BRAM, absorbed by the pipeline
-                stall_ns = access(port, op.addr, op.nbytes, op.is_write,
-                                  engine.now * period_ns)
-                if stall_ns > 0.0:
-                    stall = ceil(stall_ns / period_ns - 1e-9)
-                    if stall:
-                        stats.mem_stall_cycles += stall
-                        if tel is not None:
-                            tel.mem_stall(self.pe_id, stall)
-                        timeout = timeouts.get(stall)
-                        if timeout is None:
-                            timeout = timeouts[stall] = Timeout(stall)
-                        yield timeout
-            elif cls is SuccessorOp:
-                # cont_req/cont_resp round trip to the local P-Store.
-                yield self._t_pstore_rt
-            elif cls is SpawnOp:
-                yield self._t_queue_op
-                accel.add_work()
-                if tel is not None:
-                    tel.task_spawned(self.pe_id, op.task)
-                target = accel.sched_policy.spawn_target(self.pe_id)
-                if target is not None and target != self.pe_id:
-                    # Remote placement: the child rides the task network
-                    # to the policy-chosen PE (none of the built-in
-                    # policies use this — self-push is the hardware
-                    # default — but the decision point is the policy's).
-                    latency = accel.net.task_return_latency(
-                        self.tile_id, self.config.tile_of(target)
-                    )
-                    engine.schedule(
-                        latency,
-                        lambda t=op.task, p=target:
-                            accel._enqueue_ready(p, t),
-                    )
-                    continue
-                try:
-                    self._push_tail(op.task)
-                except TaskQueueOverflowError as exc:
-                    if not self.config.spawn_overflow_inline:
-                        raise TaskQueueOverflowError(
-                            f"pe{self.pe_id} task queue overflow spawning "
-                            f"{op.task.task_type!r}: "
-                            f"{len(self.tmu.deque)}/{self.tmu.deque.capacity}"
-                            " entries — raise task_queue_entries or enable "
-                            "spawn_overflow_inline"
-                        ) from exc
-                    # Graceful degradation: execute the child inline, as
-                    # a software runtime would on a full deque.  Serial
-                    # but correct; the spawn becomes a nested call.
-                    stats.inline_spawns += 1
-                    if tel is not None:
-                        tel.recovery("spawn-inline", pe=self.pe_id,
-                                     data={"type": op.task.task_type})
-                    yield from self._execute(op.task)
-            elif cls is SendArgOp:
-                yield self._t_arg_issue  # arg_out issue
-                if tel is not None:
-                    tel.arg_sent(self.pe_id, op.cont)
-                accel.send_arg(self.pe_id, self.tile_id, op.cont, op.value)
-        if outermost:
-            stats.busy_cycles += engine.now - start
-        if tel is not None:
-            tel.exec_end(self.pe_id, uid,
-                         stats.compute_cycles - compute_before,
-                         stats.mem_stall_cycles - stall_before)
-        self._exec_depth -= 1
-        self.current_task = prev_task
-        accel.sub_work()
-
     def _retry_nacked(self, task: Task, nack: PStoreNack) -> Generator:
         """Retry a functional attempt the P-Store NACKed; returns the
         context of the attempt that succeeds.

@@ -7,7 +7,9 @@ Commands:
   ``--stats`` dumps the run's counters); an invalid configuration
   prints one ``repro: error:`` line and exits 2.
 * ``report <benchmark>`` — instrumented run + full telemetry report
-  (latency decomposition, time series, critical path).
+  (latency decomposition, time series, critical path).  A ``run`` or
+  ``report`` stopped by ``--max-cycles`` or ``--watchdog`` prints
+  ``repro: error:``, the diagnosis and the machine snapshot, and exits 1.
 * ``table1|table2|table3|table4|table5`` — regenerate a paper table.
 * ``fig6|fig7|fig8|fig9`` — regenerate a paper figure's data.
 * ``ablations`` — run the design-choice ablations.
@@ -280,7 +282,7 @@ def _run_one(args, *, telemetry: bool):
 
 
 def _cmd_run(args) -> int:
-    from repro.core.exceptions import ConfigError
+    from repro.core.exceptions import ConfigError, DeadlockError
 
     telemetry = bool(args.trace)
     try:
@@ -290,6 +292,10 @@ def _cmd_run(args) -> int:
         # exits like an argparse error: one line, status 2.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except DeadlockError as exc:
+        # The diagnosis and its snapshot lines are the whole story.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
     print(f"{result.label}: verified, {result.cycles} cycles "
           f"({result.ns / 1000:.1f} us @ {result.clock_mhz:.0f} MHz), "
           f"{result.tasks_executed} tasks, {result.total_steals} steals, "
@@ -312,9 +318,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from repro.core.exceptions import DeadlockError
     from repro.obs import render_report, write_chrome_trace
 
-    result = _run_one(args, telemetry=True)
+    try:
+        result = _run_one(args, telemetry=True)
+    except DeadlockError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
     print(render_report(result.telemetry, cycles=result.cycles,
                         clock_mhz=result.clock_mhz, label=result.label,
                         epochs=args.epochs))

@@ -527,26 +527,36 @@ class JobRunner:
         degraded parallel batch, so retry budgets span the degradation.
         Chaos worker kills never apply here: the in-process path is the
         guaranteed-completion fallback.
+
+        Like a pool worker (:func:`_pool_worker`), the batch runs a full
+        collection after every job, so it holds at most one finished
+        simulation; the caller's heap stays frozen for the batch, so
+        each collection traverses only what the batch allocated.
         """
         policy = self.retry
-        for spec in pending:
-            attempt = attempts.get(spec.digest, 0) if attempts else 0
-            while True:
-                outcome, run_seconds, queue_seconds = _worker(
-                    spec, policy.timeout_for(self.timeout, attempt),
-                    batch_start, self._profile_path(spec))
-                if not outcome.ok and policy.should_retry(outcome,
-                                                          attempt):
-                    self._note_retry(spec, outcome, run_seconds,
-                                     queue_seconds)
-                    policy.sleep(policy.delay(spec.digest, attempt))
-                    attempt += 1
-                    continue
-                break
-            self._cache_put(spec, outcome)
-            complete(spec, outcome, cached=False,
-                     run_seconds=run_seconds,
-                     queue_seconds=queue_seconds)
+        gc.freeze()
+        try:
+            for spec in pending:
+                attempt = attempts.get(spec.digest, 0) if attempts else 0
+                while True:
+                    outcome, run_seconds, queue_seconds = _worker(
+                        spec, policy.timeout_for(self.timeout, attempt),
+                        batch_start, self._profile_path(spec))
+                    gc.collect()
+                    if not outcome.ok and policy.should_retry(outcome,
+                                                              attempt):
+                        self._note_retry(spec, outcome, run_seconds,
+                                         queue_seconds)
+                        policy.sleep(policy.delay(spec.digest, attempt))
+                        attempt += 1
+                        continue
+                    break
+                self._cache_put(spec, outcome)
+                complete(spec, outcome, cached=False,
+                         run_seconds=run_seconds,
+                         queue_seconds=queue_seconds)
+        finally:
+            gc.unfreeze()
 
     # -- parallel path (jobs>1, more than one pending job) -------------
     def _run_parallel(self, pending: List[JobSpec],

@@ -10,9 +10,10 @@ attacks the per-event constant factor four ways:
 * **Slot-based event records.**  Events are plain tuples
   ``(s_at, p_s_at, seq, code, a, b)`` where ``code`` selects the action
   (:data:`_STEP` resumes process ``a`` with value ``b``, :data:`_CALL`
-  invokes callback ``a``).  No closure is allocated per event, and
-  record comparisons short-circuit at the unique ``seq`` before
-  reaching the non-comparable payload fields.
+  calls ``a(*b)``, the callback and the argument tuple
+  :meth:`~FastEngine.schedule` was given).  No closure is allocated per
+  event, and record comparisons short-circuit at the unique ``seq``
+  before reaching the non-comparable payload fields.
 
 * **Batched same-tick execution (tick buckets).**  Instead of one heap
   entry per event, events live in per-tick buckets — a dict mapping
@@ -70,7 +71,7 @@ from repro.kernel.interface import (
 
 #: Event-record action codes (slot 3 of a record).
 _STEP = 0  # resume process a with value b
-_CALL = 1  # invoke callback a
+_CALL = 1  # call a(*b)
 
 
 class FastEngine(SimKernel):
@@ -102,8 +103,9 @@ class FastEngine(SimKernel):
         else:
             insort(b, rec)
 
-    def schedule(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` ``delay`` ticks from now."""
+    def schedule(self, delay: int, fn: Callable[..., None],
+                 *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` ticks from now."""
         # A non-negative int is already valid; anything else is checked
         # (and rejected, or converted) as everywhere else.
         if delay.__class__ is not int or delay < 0:
@@ -111,7 +113,7 @@ class FastEngine(SimKernel):
         self._seq += 1
         self._insert(
             self.now + delay,
-            (self.now, self._cur_s_at, self._seq, _CALL, fn, None),
+            (self.now, self._cur_s_at, self._seq, _CALL, fn, args),
         )
 
     def resume_at(self, proc: Process, time: int, value: Any,
@@ -238,7 +240,7 @@ class FastEngine(SimKernel):
                             self._dispatch_slow(a, request)
                             break
                     else:  # _CALL
-                        a()
+                        a(*value)
                     i += 1
             except BaseException:
                 # Keep the unexecuted suffix pending so the engine

@@ -12,8 +12,9 @@ The three operations
 --------------------
 
 1. **Scheduling with virtual ancestry.**  :meth:`SimKernel.schedule`
-   runs a callback ``delay`` ticks from now; events are ordered by the
-   composite key ``(time, scheduled_at, parent_scheduled_at, seq)``.
+   calls ``fn(*args)`` ``delay`` ticks from now, so a per-message
+   callback needs no closure; events are ordered by the composite key
+   ``(time, scheduled_at, parent_scheduled_at, seq)``.
    The two ancestry fields are redundant for normally scheduled events
    (``seq`` alone sorts them) but are load-bearing for
    :meth:`SimKernel.resume_at`, which re-inserts an event that a paused
@@ -198,8 +199,9 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Scheduling primitives (engine-implemented)
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` ``delay`` ticks from now."""
+    def schedule(self, delay: int, fn: Callable[..., None],
+                 *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` ticks from now."""
         raise NotImplementedError
 
     def resume_at(self, proc: Process, time: int, value: Any,

@@ -25,11 +25,12 @@ from repro.exec.engines import simulate
 from repro.exec.spec import make_spec
 
 #: Calls of one quick fib job on flex16 (1,828 tasks), by CPython
-#: ``(major, minor)``, when the budget was last lowered: after the park
-#: counters became plain ints and each steal read its victim's tile and
-#: hop count from the scheduler's tables (153,285 before; 178,172 before
+#: ``(major, minor)``, when the budget was last lowered: after each PE
+#: ran its tasks in its own generator frame and message callbacks were
+#: scheduled with their arguments instead of closures (149,203 before;
+#: 153,285 before the park counters became plain ints; 178,172 before
 #: the task records were slotted).  3.11 was measured on 3.11.7.
-FIB_FLEX16_QUICK_CALLS = {(3, 11): 149_203}
+FIB_FLEX16_QUICK_CALLS = {(3, 11): 140_063}
 
 
 def test_quick_fib_flex16_call_budget():

@@ -83,6 +83,43 @@ def test_pool_worker_frees_each_finished_job(monkeypatch):
     assert refs[0]() is None
 
 
+def test_serial_batch_frees_each_finished_job(monkeypatch):
+    """The in-process path collects after every job too: a job's
+    reference-cycle garbage is gone when its completion is reported,
+    and the caller's heap is not left frozen."""
+    import gc
+    import weakref
+
+    from repro.exec import runner as runner_mod
+
+    class Node:
+        pass
+
+    refs = []
+    run_job = runner_mod._run_job
+
+    def leaves_a_cycle(spec, timeout):
+        node = Node()
+        node.self = node
+        refs.append(weakref.ref(node))
+        return run_job(spec, timeout)
+
+    monkeypatch.setattr(runner_mod, "_run_job", leaves_a_cycle)
+    alive = []
+    runner = JobRunner(progress=lambda done, total, spec, outcome, cached:
+                       alive.append(refs[-1]() is not None))
+    enabled = gc.isenabled()
+    gc.disable()        # only the runner's own collections may free them
+    try:
+        runner.run_checked([make_spec("fib", n, quick=True)
+                            for n in (1, 2)])
+    finally:
+        if enabled:
+            gc.enable()
+    assert alive == [False, False]
+    assert gc.get_freeze_count() == 0
+
+
 def test_run_checked_raises_with_structured_failure():
     bad = make_spec("fib", 2, quick=True, max_cycles=100)
     with pytest.raises(JobFailedError) as excinfo:

@@ -267,6 +267,16 @@ def test_run_config_error_exits_2(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_cycle_limit_prints_diagnosis_without_traceback(command, capsys):
+    assert main([command, "fib", "--pes", "4", "--max-cycles", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "repro: error: simulation hit the 10-cycle limit")
+    assert "pe0: parked" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_benchmark_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "nonesuch"])

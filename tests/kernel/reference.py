@@ -2,8 +2,8 @@
 
 This is the simulator's original event loop, kept as a test oracle for
 :class:`repro.kernel.FastEngine`.  Heap entries are
-``(time, scheduled_at, parent_scheduled_at, seq, callback)`` with a
-plain zero-argument callback; process resumptions are closures over
+``(time, scheduled_at, parent_scheduled_at, seq, callback, args)``, run
+as ``callback(*args)``; process resumptions are closures over
 ``(proc, value)``.  It implements the same
 :class:`~repro.kernel.interface.SimKernel` interface, so a test can
 substitute it for :func:`repro.kernel.make_engine` (:func:`use_kernel`)
@@ -36,13 +36,14 @@ class ReferenceEngine(SimKernel):
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` ``delay`` ticks from now."""
+    def schedule(self, delay: int, fn: Callable[..., None],
+                 *args: Any) -> None:
+        """Run ``fn(*args)`` ``delay`` ticks from now."""
         self._seq += 1
         heapq.heappush(
             self._heap,
             (self.now + validated_delay(delay), self.now, self._cur_s_at,
-             self._seq, fn),
+             self._seq, fn, args),
         )
 
     def resume_at(self, proc: Process, time: int, value: Any,
@@ -51,7 +52,8 @@ class ReferenceEngine(SimKernel):
         self._seq += 1
         heapq.heappush(
             self._heap,
-            (time, s_at, p_s_at, self._seq, lambda: self._step(proc, value)),
+            (time, s_at, p_s_at, self._seq,
+             lambda: self._step(proc, value), ()),
         )
 
     def process(self, generator: Generator, name: str = "proc") -> Process:
@@ -108,7 +110,7 @@ class ReferenceEngine(SimKernel):
             self.now = time
             self._cur_s_at = entry[1]
             self._cur_p_s_at = entry[2]
-            entry[4]()
+            entry[4](*entry[5])
             ran = True
         if ran:
             self.last_event_time = self.now

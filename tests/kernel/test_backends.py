@@ -98,10 +98,10 @@ def _random_workload(eng, trace, seed):
 
     Draws every choice from one ``LFSR16(seed)`` stream, so both engines
     see the same choices as long as they run events in the same order.
-    Mixes scheduled callbacks, plain timeouts (run-ahead candidates),
-    ``Timeout(0)`` yields, events, joins, parks, and ``resume_at`` with
-    past, present and future virtual ancestry, at this tick and at later
-    ones.  That reaches every insert path the fast engine's tick buckets
+    Mixes scheduled callbacks (with and without arguments), plain
+    timeouts (run-ahead candidates), ``Timeout(0)`` yields, events,
+    joins, parks, and ``resume_at`` with past, present and future
+    virtual ancestry, at this tick and at later ones.  That reaches every insert path the fast engine's tick buckets
     keep sorted (a new tick, an append, an insort after the drain cursor
     and a plain insort, from ``_insert`` and from the run loop's inlined
     insert), both run-ahead vetoes and the run-ahead step itself.
@@ -133,7 +133,7 @@ def _random_workload(eng, trace, seed):
         trace.append(("call", tag, depth, eng.now))
         action = draw(4)
         if action == 0 and depth < 3:
-            eng.schedule(draw(4), lambda: callback(tag, depth + 1))
+            eng.schedule(draw(4), callback, tag, depth + 1)
         elif action == 1:
             # Past ancestry, at this tick or a later one: the record
             # sorts ahead of records already there.
@@ -158,7 +158,7 @@ def _random_workload(eng, trace, seed):
             if action == 0:
                 yield Timeout(1 + draw(7))
             elif action == 1:
-                eng.schedule(draw(4), lambda i=i: callback((tag, i), 0))
+                eng.schedule(draw(4), callback, (tag, i), 0)
                 yield Timeout(draw(3))
             elif action == 2:
                 # Present ancestry at this tick: the woken record lands
@@ -255,6 +255,25 @@ def test_randomized_workload_bit_exact_under_bounded_runs(seed):
     assert full["fast"] == full["reference"]
     assert chunked["reference"] == full["reference"]
     assert chunked["fast"] == full["reference"]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_schedule_passes_callback_arguments(name):
+    """``schedule(d, fn, a, b)`` calls ``fn(a, b)`` at ``now + d``;
+    ``schedule(d, fn)`` calls ``fn()``."""
+    eng = ENGINES[name]()
+    calls = []
+
+    def record(*args):
+        calls.append((eng.now, args))
+
+    def start():
+        eng.schedule(3, record, "a", 2)
+        eng.schedule(5, record)
+
+    eng.schedule(4, start)
+    eng.run()
+    assert calls == [(7, ("a", 2)), (9, ())]
 
 
 def test_serial_chain_runs_ahead_to_the_same_end():

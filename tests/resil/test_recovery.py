@@ -22,6 +22,7 @@ from repro.core.exceptions import (
 )
 from repro.core.task import HOST_CONTINUATION, Task
 from repro.harness.runners import run_flex
+from repro.obs import attach_telemetry
 from repro.resil.faults import FaultPlan, FaultSpec, attach_faults
 
 GUARD = dict(park_idle_pes=False, watchdog_interval=100_000)
@@ -214,9 +215,25 @@ class TestSpawnOverflowInline:
         assert sum(pe.stats.inline_spawns for pe in accel.pes) > 0
 
     def test_inline_execution_pinned(self):
-        """The nested ``_execute`` an overflowing spawn takes shares the
-        outer task's busy window; its timeline is pinned."""
+        """A child an overflowing spawn runs inline executes inside the
+        spawning task's exec window and shares its busy window; the
+        timeline is pinned."""
         accel = self.accel(spawn_overflow_inline=True)
         result = accel.run(Task("ROOT", HOST_CONTINUATION))
         assert result.cycles == 101
         assert [s.inline_spawns for s in result.pe_stats] == [0, 6]
+        assert [s.tasks_executed for s in result.pe_stats] == [0, 10]
+        # The six inline LEAF tasks are not charged busy time twice.
+        assert [s.busy_cycles for s in result.pe_stats] == [0, 21]
+        accel = self.accel(spawn_overflow_inline=True)
+        sink = attach_telemetry(accel)
+        assert accel.run(Task("ROOT", HOST_CONTINUATION)).cycles == 101
+        (root,) = [t for t in sink.tasks if t.task_type == "ROOT"]
+        assert (root.exec_start, root.exec_end) == (37, 55)
+        inline = sorted(
+            (t.exec_start, t.exec_end) for t in sink.tasks
+            if t.task_type == "LEAF" and t.exec_start < root.exec_end
+        )
+        assert inline == [(44 + 2 * i, 45 + 2 * i) for i in range(6)]
+        assert all(root.exec_start <= start <= end <= root.exec_end
+                   for start, end in inline)
