@@ -31,7 +31,7 @@ from repro.arch.hetero import (
 from repro.arch.interface import InterfaceBlock
 from repro.arch.lite import LiteAccelerator, LiteProgram
 from repro.arch.network import CrossbarNetwork, NetworkStats
-from repro.arch.pe import ProcessingElement, TaskManagementUnit
+from repro.arch.pe import ProcessingElement
 from repro.arch.pstore import HardwarePStore, PStoreStats
 from repro.arch.result import PEStats, RunResult
 
@@ -58,7 +58,6 @@ __all__ = [
     "CrossbarNetwork",
     "NetworkStats",
     "ProcessingElement",
-    "TaskManagementUnit",
     "HardwarePStore",
     "PStoreStats",
     "PEStats",

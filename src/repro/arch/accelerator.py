@@ -48,6 +48,18 @@ from repro.workload import DEFAULT_TENANT_NAME, Job, JobRecord, Tenant
 DEFAULT_MAX_CYCLES = 200_000_000
 
 
+class TimeoutTable(dict):
+    """One interned ``Timeout`` per delay: ``table[delay]`` builds (and
+    so validates) it on first use.  The kernel only reads ``.delay``, so
+    one object serves every yield of that delay."""
+
+    __slots__ = ()
+
+    def __missing__(self, delay: int) -> Timeout:
+        timeout = self[delay] = Timeout(delay)
+        return timeout
+
+
 class BaseAccelerator:
     """Machinery shared by the FlexArch and LiteArch engines."""
 
@@ -77,9 +89,8 @@ class BaseAccelerator:
         self.net = CrossbarNetwork(config)
         self.interface = InterfaceBlock()
         self.memory = self._build_memory()
-        #: One interned ``Timeout`` per delay, shared by the PEs (the
-        #: kernel only reads ``.delay``; see ``ProcessingElement._timeout``).
-        self.timeouts: Dict[int, Timeout] = {}
+        #: The PEs' shared by-delay ``Timeout`` table.
+        self.timeouts = TimeoutTable()
         if config.shared_worker_kinds is not None:
             from repro.arch.hetero import SharedWorkerUnits
 
@@ -106,7 +117,7 @@ class BaseAccelerator:
         if config.park_idle_pes:
             self.park_registry = ParkRegistry(self)
             for pe in self.pes:
-                self.park_registry.watch(pe.tmu.deque)
+                self.park_registry.watch(pe.deque)
             self.park_registry.watch(self.interface.deque)
         else:
             self.park_registry = None
@@ -176,7 +187,7 @@ class BaseAccelerator:
         convert it to a :class:`DeadlockError` naming the PE, the queue
         occupancy, and the task that could not be delivered.
         """
-        deque = self.pes[target_pe].tmu.deque
+        deque = self.pes[target_pe].deque
         if self.telemetry is not None:
             self.telemetry.task_enqueued(target_pe, task)
         try:
@@ -251,7 +262,7 @@ class BaseAccelerator:
         # Finalise occupancy high-water marks (a PE's last stats update
         # happens at its last executed task, which can miss late pushes).
         for pe in self.pes:
-            pe.stats.queue_high_water = pe.tmu.high_water
+            pe.stats.queue_high_water = pe.deque.high_water
         counters = {
             "steal_requests": self.net.steal_stats.steal_requests,
             "arg_messages_local": self.net.arg_stats.local_messages,
@@ -310,15 +321,11 @@ class FlexAccelerator(BaseAccelerator):
         self._greedy = config.greedy
 
     # -- work-stealing victim space: all PEs plus the IF block -----------
-    @property
-    def num_victims(self) -> int:
-        return self.config.num_pes + 1
-
     @cached_property
     def victim_tiles(self) -> List[int]:
         """Tile of each victim id, built once: each PE's own tile, then
         -1 for the IF block, which sits off-tile (a full hop) because -1
-        equals no PE tile."""
+        equals no PE tile.  Its length is the size of the victim space."""
         tile_of = self.config.tile_of
         return [tile_of(v) for v in range(self.config.num_pes)] + [-1]
 
@@ -336,7 +343,7 @@ class FlexAccelerator(BaseAccelerator):
             task = self.interface.steal_head()
             return ([task] if task is not None else [],
                     len(self.interface.deque))
-        deque = self.pes[victim_id].tmu.deque
+        deque = self.pes[victim_id].deque
         count, end = self.sched_policy.steal_plan(len(deque))
         take = deque.steal_head if end == "head" else deque.steal_tail
         tasks: List[Task] = []
@@ -529,9 +536,9 @@ class FlexAccelerator(BaseAccelerator):
         so the machine cannot drain between arrivals: an idle (parked)
         machine stays alive and wakes when the next arrival's injection
         callback pushes into the IF deque.  With ``admit_window`` set,
-        arrivals pass through per-tenant admission queues and the
-        scheduling policy's admission decision point; otherwise they
-        inject directly (byte-identical to the pre-workload lifecycle).
+        arrivals pass through per-tenant admission queues, released
+        earliest arrival first; otherwise they inject directly
+        (byte-identical to the pre-workload lifecycle).
         """
         jobs = list(jobs)
         if not jobs:
@@ -551,9 +558,8 @@ class FlexAccelerator(BaseAccelerator):
                     if job.tenant not in names:
                         names.append(job.tenant)
                 tenants = [Tenant(name=name) for name in names]
-            self.interface.configure_admission(
-                self.engine, self.sched_policy, tenants, admit_window
-            )
+            self.interface.configure_admission(self.engine, tenants,
+                                               admit_window)
         for job in jobs:
             record = JobRecord(job_id=job.job_id, tenant=job.tenant,
                                arrival=job.time)

@@ -13,12 +13,10 @@ starts — all PEs park at tick 0 until the first root task arrives).
 
 Open-system workloads (docs/WORKLOADS.md) may bound how many root tasks
 sit in the stealable deque at once: ``configure_admission`` interposes
-per-tenant FIFO admission queues in front of the deque, and the
-scheduling policy's admission decision point
-(:meth:`repro.sched.SchedulingPolicy.admit`) picks which tenant's head
-job is released whenever the window has room.  Without admission
-configured, ``submit`` degenerates to a direct ``inject`` — byte-
-identical to the classic closed-system path.
+per-tenant FIFO admission queues in front of the deque, and whenever the
+window has room the head job that arrived first is released.  Without
+admission configured, ``submit`` degenerates to a direct ``inject`` —
+byte-identical to the classic closed-system path.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.core.deque import WorkStealingDeque
 from repro.core.executor import HostResult
 from repro.core.exceptions import ConfigError
 from repro.core.task import Continuation, Task
-from repro.sched.base import AdmissionView
 
 
 class _TenantQueue:
@@ -50,18 +47,17 @@ class AdmissionControl:
     ``window`` bounds the number of root tasks concurrently visible in
     the stealable deque.  The pump runs at two deterministic points —
     after a ``submit`` and after a PE's root fetch drains the deque —
-    and releases heads in the order the policy's ``admit`` decision
-    point dictates.  All bookkeeping happens inside already-scheduled
+    and releases heads in global FIFO order with a QoS tiebreak (see
+    :meth:`pump`).  All bookkeeping happens inside already-scheduled
     engine callbacks, so admission adds no events of its own.
     """
 
-    def __init__(self, engine, interface: "InterfaceBlock", policy,
-                 tenants, window: int) -> None:
+    def __init__(self, engine, interface: "InterfaceBlock", tenants,
+                 window: int) -> None:
         if window < 1:
             raise ConfigError(f"admission window must be >= 1: {window}")
         self.engine = engine
         self.interface = interface
-        self.policy = policy
         self.window = window
         self.queues = [_TenantQueue(t.name, t.weight) for t in tenants]
         self._by_name = {q.name: q for q in self.queues}
@@ -86,30 +82,24 @@ class AdmissionControl:
         self.pump()
 
     def pump(self) -> None:
-        """Release queue heads while the window has room."""
+        """Release queue heads while the window has room.
+
+        Each release takes the head with the earliest arrival; equal
+        arrivals go to the heavier tenant, then to the lower job id, so
+        untenanted workloads admit in pure arrival order.  On a full
+        tie the first queue in declared tenant order wins.
+        """
         while len(self.interface.deque) < self.window:
-            views = []
-            nonempty = []
+            best = best_key = None
             for queue in self.queues:
-                if not queue.entries:
-                    continue
-                head_job, _ = queue.entries[0]
-                views.append(AdmissionView(
-                    tenant=queue.name, weight=queue.weight,
-                    depth=len(queue.entries),
-                    head_arrival=head_job.time,
-                    head_job=head_job.job_id,
-                ))
-                nonempty.append(queue)
-            if not views:
+                if queue.entries:
+                    job = queue.entries[0][0]
+                    key = (job.time, -queue.weight, job.job_id)
+                    if best is None or key < best_key:
+                        best, best_key = queue, key
+            if best is None:
                 return
-            choice = self.policy.admit(tuple(views))
-            if not (0 <= choice < len(nonempty)):
-                raise ConfigError(
-                    f"admit() returned {choice} for {len(nonempty)} "
-                    "queues"
-                )
-            job, record = nonempty[choice].entries.popleft()
+            job, record = best.entries.popleft()
             record.admitted = self.engine.now
             self.interface.inject(job.task)
 
@@ -139,13 +129,11 @@ class InterfaceBlock:
         """Jobs held back in tenant admission queues (0 without one)."""
         return 0 if self.admission is None else self.admission.pending
 
-    def configure_admission(self, engine, policy, tenants,
-                            window: int) -> None:
+    def configure_admission(self, engine, tenants, window: int) -> None:
         """Interpose per-tenant admission queues (docs/WORKLOADS.md)."""
         if self.admission is not None:
             raise ConfigError("admission control already configured")
-        self.admission = AdmissionControl(engine, self, policy, tenants,
-                                          window)
+        self.admission = AdmissionControl(engine, self, tenants, window)
 
     def submit(self, job, record, now: int) -> None:
         """Accept one arrived job from the host's injection process.

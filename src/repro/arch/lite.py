@@ -84,10 +84,6 @@ class LiteAccelerator(BaseAccelerator):
 
     # -- services used by PEs ---------------------------------------------
     @property
-    def num_victims(self) -> int:
-        return 1  # no work-stealing network
-
-    @property
     def victim_tiles(self) -> List[int]:
         raise ProtocolError("LiteArch has no work-stealing network")
 
@@ -147,12 +143,10 @@ class LiteAccelerator(BaseAccelerator):
                 f"round{self.rounds_executed}"
             )
             for i, task in enumerate(tasks):
-                # Static assignment; the placement rule (round-robin by
-                # default) is the scheduling policy's decision point 4.
-                pe_id = self.sched_policy.place_round_task(i)
+                # Static round-robin assignment (Section III-B).
                 self.add_work()
                 self.engine.schedule(cfg.net_hop_cycles, self._enqueue_ready,
-                                     pe_id, task)
+                                     i % cfg.num_pes, task)
             yield self._round_event
             values = [self._round_values.get(i) for i in range(len(tasks))]
         self._set_done()

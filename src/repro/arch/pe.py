@@ -1,11 +1,12 @@
 """Processing element: application worker + task management unit.
 
-Each PE couples the application-specific worker datapath with a TMU that
-owns a bounded work-stealing deque (Section III-A).  The PE main loop:
+Each PE couples the application-specific worker datapath with a TMU, a
+bounded work-stealing deque (``ProcessingElement.deque``; Section
+III-A).  The PE main loop:
 
 1. Pop a task from the local queue (LIFO by default — depth-first
-   traversal of the task graph for locality; the pop end is bound from
-   the scheduling policy).
+   traversal of the task graph for locality; the ``local_order``
+   ablation pops FIFO).
 2. If the queue is empty, ask the scheduling policy (``repro.sched``)
    for a victim and steal over the work-stealing network.  The default
    ``random`` policy reproduces the paper's protocol bit-exactly: an
@@ -15,8 +16,9 @@ owns a bounded work-stealing deque (Section III-A).  The PE main loop:
    ``occupancy``) or the transfer amount (``steal_half``).
 3. Execute the task: the worker runs functionally, then its recorded
    operations are replayed with timing — compute cycles, memory-port
-   stalls, P-Store round trips for successor creation, queue pushes for
-   spawns, and fire-and-forget argument sends.
+   stalls, P-Store round trips for successor creation, pushes of
+   spawned children into this PE's own queue, and fire-and-forget
+   argument sends.
 
 LiteArch PEs use the same class with stealing disabled; their workers never
 create successors or spawn (enforced by the engine).
@@ -75,20 +77,7 @@ from repro.resil.faults import (
     STEAL_DROP,
     op_signature,
 )
-from repro.kernel import Park, Timeout
-
-
-class TaskManagementUnit:
-    """The TMU: a bounded deque plus steal-side bookkeeping."""
-
-    def __init__(self, pe_id: int, capacity: int) -> None:
-        self.deque: WorkStealingDeque[Task] = WorkStealingDeque(
-            capacity=capacity, name=f"tmu{pe_id}"
-        )
-
-    @property
-    def high_water(self) -> int:
-        return self.deque.high_water
+from repro.kernel import Park
 
 
 class ProcessingElement:
@@ -101,24 +90,27 @@ class ProcessingElement:
         self.tile_id = accel.config.tile_of(pe_id)
         self.worker = worker
         self.steal_enabled = steal_enabled
-        self.tmu = TaskManagementUnit(pe_id, accel.config.task_queue_entries)
-        self._push_tail = self.tmu.deque.push_tail
+        #: The TMU's bounded task queue.
+        self.deque: WorkStealingDeque[Task] = WorkStealingDeque(
+            capacity=accel.config.task_queue_entries, name=f"tmu{pe_id}"
+        )
+        self._push_tail = self.deque.push_tail
         # Per-PE scheduling state (victim selection + the scheduling
         # LFSR), built by the accelerator's policy (repro.sched).
         self.sched = accel.sched_policy.scheduler_for(self)
         self.stats = PEStats(pe_id)
         # Every yielded Timeout comes from the accelerator's by-delay
-        # table (see _timeout); the fixed-latency hot yields keep theirs
-        # as attributes.
+        # table (BaseAccelerator.timeouts); the fixed-latency hot yields
+        # keep theirs as attributes.
         cfg = accel.config
-        self._timeouts = accel.timeouts
-        self._t_pop = self._timeout(cfg.queue_op_cycles + cfg.dispatch_cycles)
-        self._t_idle = self._timeout(cfg.idle_poll_cycles)
-        self._t_backoff = self._timeout(cfg.steal_backoff_cycles)
-        self._t_dispatch = self._timeout(cfg.dispatch_cycles)
-        self._t_queue_op = self._timeout(cfg.queue_op_cycles)
-        self._t_pstore_rt = self._timeout(2 * cfg.pstore_local_cycles)
-        self._t_arg_issue = self._timeout(1)
+        timeouts = accel.timeouts
+        self._t_pop = timeouts[cfg.queue_op_cycles + cfg.dispatch_cycles]
+        self._t_idle = timeouts[cfg.idle_poll_cycles]
+        self._t_backoff = timeouts[cfg.steal_backoff_cycles]
+        self._t_dispatch = timeouts[cfg.dispatch_cycles]
+        self._t_queue_op = timeouts[cfg.queue_op_cycles]
+        self._t_pstore_rt = timeouts[2 * cfg.pstore_local_cycles]
+        self._t_arg_issue = timeouts[1]
         # One bound call per memory op: the model's access, this PE's
         # port (its tile's L1, or the PE itself in stream-buffer mode)
         # and the clock period that converts the stall it returns.
@@ -158,8 +150,9 @@ class ProcessingElement:
         spawn that overflows the full queue under
         ``spawn_overflow_inline`` suspends the spawning task's replay on
         a stack local to the frame, runs the child through the same
-        code, and resumes the parent at its next op; the child shares
-        the parent's busy window.
+        code, and resumes the parent at its next op, with the parent's
+        exec start restored for the watchdog; the child shares the
+        parent's busy window.
         """
         accel = self.accel
         cfg = self.config
@@ -171,10 +164,11 @@ class ProcessingElement:
         worker = self.worker
         pe_id = self.pe_id
         tile_id = self.tile_id
-        deque = self.tmu.deque
-        pop_local = accel.sched_policy.local_pop(deque)
+        deque = self.deque
+        pop_local = (deque.pop_tail if cfg.local_order == "lifo"
+                     else deque.pop_head)
+        steal_enabled = self.steal_enabled
         # Per-task constants, bound once.
-        spawn_target = accel.sched_policy.spawn_target
         push_tail = self._push_tail
         send_arg = accel.send_arg
         add_work = accel.add_work
@@ -185,7 +179,7 @@ class ProcessingElement:
         allow_dynamic = accel.allow_dynamic
         worker_units = accel.worker_units
         scratchpad_local = accel.scratchpad_local
-        timeouts = self._timeouts
+        timeouts = accel.timeouts
         access = self._mem_access
         port = self._mem_port
         period_ns = self._period_ns
@@ -204,18 +198,12 @@ class ProcessingElement:
                     tel.task_dispatched(pe_id, task)
                 yield t_pop
             else:
-                # Fast path: a PE with no possible victim (stealing
-                # disabled, or a single-PE machine whose only peer is the
-                # IF block and the IF deque is the sole watched source)
-                # never enters the steal protocol here — *except* that a
-                # single-PE FlexArch still probes the IF block below
-                # (num_victims == 2 counts the IF).  Those root-fetch
-                # probes are timed identically to real steals but are
-                # interface protocol, not load balancing:
-                # ``sched.counts_steals`` keeps them out of the
-                # steal_attempts/steal_hits statistics (the single-PE
-                # bookkeeping fix — a 1-PE run now reports zero attempts).
-                if not self.steal_enabled or accel.num_victims < 2:
+                # A LiteArch PE never steals: it waits for the host's
+                # next round.  A FlexArch PE always has a victim, the IF
+                # block at least: a single-PE machine probes it for its
+                # root tasks, timed like real steals but kept out of the
+                # steal statistics (``sched.counts_steals``).
+                if not steal_enabled:
                     if registry is not None:
                         yield registry.park(self, scope=SCOPE_LOCAL)
                     else:
@@ -234,8 +222,8 @@ class ProcessingElement:
                 yield t_dispatch
             start = engine.now
             # Tasks whose replay an inline spawn suspended, innermost
-            # last, as (task, ops, mark); ops is None until the running
-            # task's functional attempt has recorded them.
+            # last, as (task, ops, mark, exec start); ops is None until
+            # the running task's functional attempt has recorded them.
             parents = None
             ops = None
             while True:
@@ -285,22 +273,18 @@ class ProcessingElement:
                                 tile_id, kind, engine.now, ctx.compute_cycles
                             )
                             if wait:
-                                yield self._timeout(wait)
+                                yield timeouts[wait]
                     ops = iter(ctx.ops)
                 # The timed op replay.  Dispatch on the record's class, the
-                # two per-op kinds first.  Compute and stall Timeouts come from the
-                # by-delay table (_timeout, inline); a stall converts to
-                # whole cycles as ClockDomain.ns_to_cycles does, with the
-                # bound period.
+                # two per-op kinds first.  Compute and stall Timeouts come
+                # from the by-delay table; a stall converts to whole cycles
+                # as ClockDomain.ns_to_cycles does, with the bound period.
                 for op in ops:
                     cls = op.__class__
                     if cls is ComputeOp:
                         cycles = op.cycles
                         stats.compute_cycles += cycles
-                        timeout = timeouts.get(cycles)
-                        if timeout is None:
-                            timeout = timeouts[cycles] = Timeout(cycles)
-                        yield timeout
+                        yield timeouts[cycles]
                     elif cls is MemOp:
                         if op.scratchpad and scratchpad_local:
                             continue  # worker-local BRAM, absorbed
@@ -312,10 +296,7 @@ class ProcessingElement:
                                 stats.mem_stall_cycles += stall
                                 if tel is not None:
                                     tel.mem_stall(pe_id, stall)
-                                timeout = timeouts.get(stall)
-                                if timeout is None:
-                                    timeout = timeouts[stall] = Timeout(stall)
-                                yield timeout
+                                yield timeouts[stall]
                     elif cls is SuccessorOp:
                         # cont_req/cont_resp round trip to the local P-Store.
                         yield t_pstore_rt
@@ -325,19 +306,6 @@ class ProcessingElement:
                         child = op.task
                         if tel is not None:
                             tel.task_spawned(pe_id, child)
-                        target = spawn_target(pe_id)
-                        if target is not None and target != pe_id:
-                            # Remote placement: the child rides the task
-                            # network to the policy-chosen PE (none of the
-                            # built-in policies use this — self-push is the
-                            # hardware default — but the decision point is
-                            # the policy's).
-                            latency = accel.net.task_return_latency(
-                                tile_id, cfg.tile_of(target)
-                            )
-                            engine.schedule(latency, accel._enqueue_ready,
-                                            target, child)
-                            continue
                         try:
                             push_tail(child)
                         except TaskQueueOverflowError as exc:
@@ -359,7 +327,8 @@ class ProcessingElement:
                                              data={"type": child.task_type})
                             if parents is None:
                                 parents = []
-                            parents.append((task, ops, mark))
+                            parents.append((task, ops, mark,
+                                            self.exec_started_at))
                             task = child
                             ops = None
                             break
@@ -377,7 +346,7 @@ class ProcessingElement:
                     if not parents:
                         break
                     # An inline child finished: resume its parent.
-                    task, ops, mark = parents.pop()
+                    task, ops, mark, self.exec_started_at = parents.pop()
                     self.current_task = task
                     sub_work()
             stats.busy_cycles += engine.now - start
@@ -409,7 +378,6 @@ class ProcessingElement:
                 # The request died before the victim probe: no task can
                 # be lost with it, only the thief's response wait.  The
                 # policy observes nothing (no response came back).
-                sched.note_drop(victim_id)
                 if accel.telemetry is not None:
                     accel.telemetry.fault(STEAL_DROP, pe=self.pe_id,
                                           data={"victim": victim_id})
@@ -425,13 +393,13 @@ class ProcessingElement:
                 if retries > cfg.steal_retry_limit:
                     # Give up this round: treat the timeout like a NACK
                     # and let the main loop back off and re-attempt.
-                    yield self._timeout(cfg.steal_timeout_cycles)
+                    yield accel.timeouts[cfg.steal_timeout_cycles]
                     return None
                 self.stats.steal_retries += 1
                 if accel.telemetry is not None:
                     accel.telemetry.recovery("steal-retry", pe=self.pe_id,
                                              data={"victim": victim_id})
-                yield self._timeout(cfg.steal_timeout_cycles)
+                yield accel.timeouts[cfg.steal_timeout_cycles]
                 continue
             extra = 0
             if fault is not None:  # ("delay", cycles): absorbed in flight
@@ -441,19 +409,9 @@ class ProcessingElement:
                     accel.telemetry.fault(STEAL_DELAY, pe=self.pe_id,
                                           data={"victim": victim_id,
                                                 "cycles": extra})
-            yield self._timeout(request)
+            yield accel.timeouts[request]
             stolen = yield from self._finish_steal(victim_id, extra=extra)
             return stolen
-
-    def _timeout(self, delay: int) -> Timeout:
-        """The interned ``Timeout(delay)``, built (and so validated) on
-        first use; the kernel only reads ``.delay``, so one object serves
-        every yield of that delay.  ``run`` inlines this lookup in its op
-        replay."""
-        timeout = self._timeouts.get(delay)
-        if timeout is None:
-            timeout = self._timeouts[delay] = Timeout(delay)
-        return timeout
 
     def _finish_steal(self, victim_id: int, extra: int = 0) -> Generator:
         """Probe the victim's queue and ride the response back.
@@ -482,7 +440,7 @@ class ProcessingElement:
         ) + extra
         if len(tasks) > 1:
             response += (len(tasks) - 1) * cfg.queue_op_cycles
-        yield self._timeout(response)
+        yield accel.timeouts[response]
         if not tasks:
             return None
         if sched.counts_steals:
@@ -537,9 +495,9 @@ class ProcessingElement:
                     "pstore-retry", pe=self.pe_id,
                     data={"tile": nack.tile, "attempt": attempt},
                 )
-            yield self._timeout(
+            yield accel.timeouts[
                 cfg.pstore_retry_backoff_cycles << min(attempt - 1, 6)
-            )
+            ]
             ctx = WorkerContext(self.pe_id, self._alloc_successor)
             self._attempt_allocs = []
             try:
@@ -577,7 +535,7 @@ class ProcessingElement:
         shadow = WorkerContext(self.pe_id, self._shadow_alloc)
         self.worker.execute(task, shadow)
         self.stats.pe_faults += 1
-        yield self._timeout(cfg.pe_fault_recovery_cycles)
+        yield accel.timeouts[cfg.pe_fault_recovery_cycles]
         accel.faults.note_recovery(PE_TRANSIENT)
         if tel is not None:
             tel.recovery("pe-reexec", pe=self.pe_id,

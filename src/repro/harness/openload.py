@@ -136,7 +136,7 @@ def run_open(
     ]
     if window is not None:
         notes.append(f"admission window {window} "
-                     "(scheduling decision point 5)")
+                     "(earliest arrival first)")
     return ExperimentResult(
         experiment="open",
         title="open-system throughput / tail latency",

@@ -210,6 +210,8 @@ class EventSink:
         self.tasks: List[TaskRecord] = []
         self._live: Dict[int, int] = {}       # id(task) -> uid
         self._running: Dict[int, int] = {}    # pe -> executing uid
+        # Inline child uid -> the spawner's uid it interrupted.
+        self._enclosing: Dict[int, int] = {}
         self._pending: Dict[Tuple[int, int], _PendingEntry] = {}
         self._inflight: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
 
@@ -299,6 +301,9 @@ class EventSink:
         rec = self.tasks[uid]
         rec.exec_start = self.engine.now
         rec.pe = pe
+        running = self._running.get(pe)
+        if running is not None:  # an inline child (spawn_overflow_inline)
+            self._enclosing[uid] = running
         self._running[pe] = uid
         self._emit(EXEC_START, pe=pe, uid=uid,
                    data={"type": rec.task_type})
@@ -310,7 +315,11 @@ class EventSink:
         rec.exec_end = self.engine.now
         rec.compute_cycles = compute_cycles
         rec.mem_stall_cycles = mem_stall_cycles
-        self._running.pop(pe, None)
+        enclosing = self._enclosing.pop(uid, None)
+        if enclosing is None:
+            self._running.pop(pe, None)
+        else:
+            self._running[pe] = enclosing
         self._emit(EXEC_END, pe=pe, uid=uid,
                    data={"compute": compute_cycles,
                          "mem_stall": mem_stall_cycles})

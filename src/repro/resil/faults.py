@@ -15,9 +15,9 @@ decision            consulted at
                     the scheduling policy (``repro.sched``) already
                     issued: the victim pick consumed the PE's scheduling
                     LFSR, this plan's decision draws from the fault
-                    stream, and a dropped request feeds ``note_drop``
-                    (not ``note_steal``) back to the policy — the two
-                    streams never interleave
+                    stream, and a dropped request feeds nothing back to
+                    the policy (no ``note_steal``: no response came) —
+                    the two streams never interleave
 ``arg_fault``       when a PE issues an argument message (drop /
                     duplicate / delay in the argument network)
 ``pe_fault``        at task-execution start (transient PE failure)

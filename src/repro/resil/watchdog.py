@@ -79,9 +79,9 @@ def snapshot(accel) -> Dict:
     for pe in accel.pes:
         pes[pe.pe_id] = {
             "state": _pe_state(pe, now),
-            "queue_depth": len(pe.tmu.deque),
-            "queue_capacity": pe.tmu.deque.capacity,
-            "queue_high_water": pe.tmu.high_water,
+            "queue_depth": len(pe.deque),
+            "queue_capacity": pe.deque.capacity,
+            "queue_high_water": pe.deque.high_water,
             "tasks_executed": pe.stats.tasks_executed,
         }
     pstores = {}
@@ -96,7 +96,7 @@ def snapshot(accel) -> Dict:
     # executed is a message in flight (or lost): argument sends, readied
     # tasks riding the task-return path, root injections in progress.
     accounted = (
-        sum(len(pe.tmu.deque) for pe in accel.pes)
+        sum(len(pe.deque) for pe in accel.pes)
         + sum(ps.occupancy for ps in getattr(accel, "pstores", ()))
         + sum(1 for pe in accel.pes if pe.current_task is not None)
         + accel.interface.pending

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Type
 
-from repro.sched.base import AdmissionView, PEScheduler, SchedulingPolicy
+from repro.sched.base import PEScheduler, SchedulingPolicy
 from repro.sched.hierarchical import HierarchicalPolicy
 from repro.sched.occupancy import OccupancyPolicy
 from repro.sched.random import RandomPolicy
@@ -43,7 +43,6 @@ def make_policy(accel) -> SchedulingPolicy:
 
 
 __all__ = [
-    "AdmissionView",
     "PEScheduler",
     "SchedulingPolicy",
     "RandomPolicy",

@@ -35,8 +35,8 @@ DEFAULT_TENANT_NAME = "default"
 class Tenant:
     """One traffic class sharing the accelerator.
 
-    ``weight`` is the QoS share used by the admission decision point
-    (higher = preferred on ties) and by stochastic sources when mixing
+    ``weight`` is the QoS share used by admission control (higher =
+    preferred among equal arrivals) and by stochastic sources when mixing
     arrivals.  ``params`` optionally overrides benchmark workload
     parameters for this tenant's jobs (e.g. a different ``n``), stored
     as a sorted item tuple so tenants stay hashable.

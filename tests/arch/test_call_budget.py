@@ -25,12 +25,14 @@ from repro.exec.engines import simulate
 from repro.exec.spec import make_spec
 
 #: Calls of one quick fib job on flex16 (1,828 tasks), by CPython
-#: ``(major, minor)``, when the budget was last lowered: after each PE
-#: ran its tasks in its own generator frame and message callbacks were
-#: scheduled with their arguments instead of closures (149,203 before;
+#: ``(major, minor)``, when the budget was last lowered: after spawns
+#: stopped asking the scheduling policy for a target, the op replay
+#: subscripted the Timeout table instead of calling its ``get``, and an
+#: idle PE stopped reading the victim-space size (140,063 before;
+#: 149,203 before each PE ran its tasks in its own generator frame;
 #: 153,285 before the park counters became plain ints; 178,172 before
 #: the task records were slotted).  3.11 was measured on 3.11.7.
-FIB_FLEX16_QUICK_CALLS = {(3, 11): 140_063}
+FIB_FLEX16_QUICK_CALLS = {(3, 11): 133_991}
 
 
 def test_quick_fib_flex16_call_budget():

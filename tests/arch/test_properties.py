@@ -99,5 +99,5 @@ def test_pstore_and_queues_drain(seed, num_pes):
     for pstore in accel.pstores:
         assert pstore.is_empty
     for pe in accel.pes:
-        assert pe.tmu.deque.is_empty
+        assert pe.deque.is_empty
     assert accel.interface.deque.is_empty

@@ -237,3 +237,26 @@ class TestSpawnOverflowInline:
         assert inline == [(44 + 2 * i, 45 + 2 * i) for i in range(6)]
         assert all(root.exec_start <= start <= end <= root.exec_end
                    for start, end in inline)
+
+    @pytest.mark.parametrize("max_cycles", [45, 47])
+    def test_watchdog_dates_the_resumed_parent(self, max_cycles):
+        """Once an inline child ends, the watchdog dates its parent from
+        the parent's own start: ROOT started at cycle 37, and its first
+        two inline LEAFs ran at 44-45 and 46-47."""
+        accel = self.accel(spawn_overflow_inline=True)
+        with pytest.raises(DeadlockError,
+                           match="pe1: executing 'ROOT' since cycle 37,"):
+            accel.run(Task("ROOT", HOST_CONTINUATION), max_cycles=max_cycles)
+
+    def test_inline_children_keep_their_spawner_in_telemetry(self):
+        """Every LEAF, queued or run inline, records ROOT as its parent
+        and a dependency on it: no ROOT->LEAF critical-path edge is lost
+        after the first inline child ends."""
+        accel = self.accel(spawn_overflow_inline=True)
+        sink = attach_telemetry(accel)
+        accel.run(Task("ROOT", HOST_CONTINUATION))
+        (root,) = [t for t in sink.tasks if t.task_type == "ROOT"]
+        leaves = [t for t in sink.tasks if t.task_type == "LEAF"]
+        assert len(leaves) == 8
+        assert [t.parent for t in leaves] == [root.uid] * 8
+        assert all(root.uid in [dep for dep, _ in t.deps] for t in leaves)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.arch.accelerator import FlexAccelerator
-from repro.arch.config import AcceleratorConfig, flex_config
+from repro.arch.config import AcceleratorConfig, flex_config, lite_config
+from repro.arch.lite import LiteAccelerator, LiteProgram
+from repro.core.context import Worker
 from repro.core.exceptions import ConfigError
 from repro.core.task import HOST_CONTINUATION, Task
 from repro.harness.runners import run_flex, run_lite
@@ -70,28 +72,54 @@ def test_steal_half_plan_takes_half_capped(qlen, want):
     assert accel.sched_policy.steal_plan(qlen) == (want, "head")
 
 
-# -- decision point 3: local queue discipline ----------------------------
+# -- fixed rules: owner pop end, spawn and round placement ----------------
 
 def test_local_pop_binds_the_configured_end():
-    lifo = build_flex(2)
-    fifo = build_flex(2, local_order="fifo")
-    deque = lifo.pes[0].tmu.deque
-    assert lifo.sched_policy.local_pop(deque) == deque.pop_tail
-    assert fifo.sched_policy.local_pop(
-        fifo.pes[0].tmu.deque) == fifo.pes[0].tmu.deque.pop_head
+    """The PE pops the end ``local_order`` names: its newest task under
+    LIFO, its oldest under FIFO."""
+    for order, kept in (("lifo", 0), ("fifo", 1)):
+        accel = build_flex(2, local_order=order)
+        pe = accel.pes[0]
+        tasks = [Task("FIB", HOST_CONTINUATION, (n,)) for n in range(2)]
+        for task in tasks:
+            pe.deque.push_tail(task)
+        next(pe.run())  # one pop, then the pop/dispatch latency
+        assert len(pe.deque) == 1
+        assert pe.deque.pop_head() is tasks[kept]
 
-
-# -- decision point 4: placement ----------------------------------------
 
 def test_spawn_target_defaults_to_self_push():
-    accel = build_flex(4)
-    assert accel.sched_policy.spawn_target(2) is None
+    """A spawned child lands in its spawner's own queue: it leaves that
+    queue by the spawner's local pop or by a steal from the spawner."""
+    result = run_flex("fib", 4, quick=True, telemetry=True)
+    events = result.telemetry.events
+    spawner = {e.uid: e.pe for e in events if e.kind == "spawn"}
+    left_from = {}
+    for e in events:
+        if e.kind == "dispatch":
+            left_from[e.uid] = e.pe
+        elif e.kind == "steal-hit":
+            left_from[e.uid] = e.data["victim"]
+    assert any(e.kind == "steal-hit" and e.uid in spawner for e in events)
+    assert {uid: left_from.get(uid) for uid in spawner} == spawner
 
 
 def test_lite_round_placement_is_round_robin():
-    accel = build_flex(4)
-    assert [accel.sched_policy.place_round_task(i)
-            for i in range(6)] == [0, 1, 2, 3, 0, 1]
+    """The host places LiteArch round task ``i`` on PE ``i % num_pes``."""
+    class WherePE(Worker):
+        task_types = ("WHERE",)
+
+        def execute(self, task, ctx):
+            ctx.send_arg(task.k, ctx.pe_id)
+
+    class OneRound(LiteProgram):
+        def rounds(self):
+            self.placed = yield [Task("WHERE", self.host_k(i))
+                                 for i in range(6)]
+
+    program = OneRound()
+    LiteAccelerator(lite_config(4, memory="perfect"), WherePE()).run(program)
+    assert program.placed == [0, 1, 2, 3, 0, 1]
 
 
 # -- hierarchical victim selection --------------------------------------
@@ -164,7 +192,7 @@ def test_occupancy_hints_decay_to_lfsr_fallback():
     sched.note_steal(5, 0, 0)  # later probe found it empty
     victim = sched.pick_victim()
     assert victim != 0  # never probes itself
-    assert 0 <= victim < accel.num_victims
+    assert 0 <= victim < len(accel.victim_tiles)
 
 
 def test_occupancy_tie_break_prefers_fewer_hops_then_lower_id():
@@ -231,8 +259,8 @@ def test_lite_runs_under_any_policy():
     base = run_lite("quicksort", 8, quick=True)
     for policy in POLICY_NAMES:
         r = run_lite("quicksort", 8, quick=True, steal_policy=policy)
-        # LiteArch has no stealing: placement is the only decision the
-        # policy makes, and every built-in uses the same round-robin.
+        # LiteArch has no stealing, so no policy decision applies:
+        # rounds are placed round-robin.
         assert r.cycles == base.cycles
         assert r.value == base.value
 

@@ -28,7 +28,6 @@ IF_TILE = 9
 def make_scheduler(victim_tiles, pe_id, tile_id, seed):
     """A random-policy scheduler outside an accelerator."""
     accel = SimpleNamespace(config=SimpleNamespace(num_pes=len(victim_tiles)),
-                            num_victims=len(victim_tiles),
                             victim_tiles=victim_tiles)
     pe = SimpleNamespace(accel=accel, pe_id=pe_id, tile_id=tile_id,
                          steal_enabled=True)

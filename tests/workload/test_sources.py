@@ -4,11 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.arch.config import flex_config
+from repro.arch.interface import AdmissionControl, InterfaceBlock
 from repro.core.exceptions import ConfigError
-from repro.sched import AdmissionView, SchedulingPolicy
+from repro.core.task import HOST_CONTINUATION, Task
 from repro.workload import (
     ClosedSource,
+    Job,
+    JobRecord,
     StochasticSource,
     Tenant,
     TraceSource,
@@ -159,30 +161,41 @@ def test_bind_jobs_reslots_host_continuation():
 
 
 # ---------------------------------------------------------------------------
-# decision point 5: the admission choice
-def _policy():
-    return SchedulingPolicy(SimpleNamespace(config=flex_config(4)))
+# admission order: AdmissionControl.pump
+def _admission_order(*heads):
+    """Queue one job per ``(tenant, weight, arrival, job_id)`` while the
+    one-slot window is full, then free the slot and pump after each
+    release; returns the job ids in release order."""
+    interface = InterfaceBlock()
+    control = AdmissionControl(
+        SimpleNamespace(now=0), interface,
+        [Tenant(name, weight=weight) for name, weight, _, _ in heads],
+        window=1,
+    )
+    interface.inject(Task("BLOCKER", HOST_CONTINUATION))
+    for name, _, arrival, job_id in heads:
+        job = Job(job_id=job_id, time=arrival, tenant=name,
+                  task=Task("JOB", HOST_CONTINUATION, (job_id,)))
+        control.enqueue(job, JobRecord(job_id, name, arrival))
+    assert len(interface.deque) == 1  # the window held every job back
+    interface.deque.steal_head()
+    order = []
+    control.pump()
+    while len(interface.deque):
+        order.append(interface.deque.steal_head().args[0])
+        control.pump()
+    return order
 
 
 def test_admit_prefers_earliest_arrival():
-    views = (
-        AdmissionView("gold", 3, 2, head_arrival=90, head_job=4),
-        AdmissionView("silver", 1, 1, head_arrival=10, head_job=7),
-    )
-    assert _policy().admit(views) == 1
+    assert _admission_order(("gold", 3, 90, 4),
+                            ("silver", 1, 10, 7)) == [7, 4]
 
 
 def test_admit_breaks_arrival_tie_by_weight():
-    views = (
-        AdmissionView("silver", 1, 1, head_arrival=10, head_job=2),
-        AdmissionView("gold", 3, 2, head_arrival=10, head_job=5),
-    )
-    assert _policy().admit(views) == 1
+    assert _admission_order(("silver", 1, 10, 2),
+                            ("gold", 3, 10, 5)) == [5, 2]
 
 
 def test_admit_breaks_full_tie_by_job_id():
-    views = (
-        AdmissionView("a", 1, 1, head_arrival=10, head_job=5),
-        AdmissionView("b", 1, 1, head_arrival=10, head_job=2),
-    )
-    assert _policy().admit(views) == 1
+    assert _admission_order(("a", 1, 10, 5), ("b", 1, 10, 2)) == [2, 5]
