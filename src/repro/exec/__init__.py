@@ -36,7 +36,6 @@ from repro.exec.cache import (
     ResultCache,
     code_salt,
     default_cache_dir,
-    record_checksum,
 )
 from repro.exec.chaos import ChaosError, ChaosPlan
 from repro.exec.engines import (
@@ -51,6 +50,7 @@ from repro.exec.record import (
     JobFailure,
     RunRecord,
     check_outcomes,
+    record_checksum,
 )
 from repro.exec.robust import (
     CampaignManifest,

@@ -4,9 +4,14 @@ Layout::
 
     .repro-cache/
         <code-salt>/            one directory per simulator version
-            <spec-digest>.json  {"salt", "spec", "record", "checksum"}
+            <spec-digest>.json  {"checksum","record","salt","spec"}
         quarantine/             corrupt entries moved aside, same shape
             <code-salt>/<spec-digest>.json
+
+An entry is one line of compact, key-sorted JSON, so the record's bytes
+in the file are its canonical JSON and ``checksum`` is their hash
+(:func:`~repro.exec.record.record_checksum`, equal to the record's
+digest).
 
 The **code salt** is a digest of every ``repro`` source file, so any
 change to the simulator (timing model, scheduler, worker code...)
@@ -21,13 +26,18 @@ Writes are atomic (temp file + ``os.replace``) so concurrent workers
 and interrupted runs can never leave a truncated entry behind.  Reads
 **self-heal**: every entry is verified on the way out — it must parse,
 its stored ``checksum`` must match the record payload, and the record
-must name the spec digest it is filed under.  Anything that fails is a
-*corrupt* entry (a crashed writer, a bad sector, a bit flip): it is
-moved to ``quarantine/`` for post-mortem and treated as a miss, so the
-job simply re-simulates instead of raising — and because simulation is
-a pure function of the spec, the healed entry is bit-identical.
-``repro cache verify|repair`` runs the same validation as an offline
-sweep (docs/EXECUTION.md).
+must name the spec digest it is filed under.  A lookup checks an entry
+in the layout ``put`` writes by hashing the stored record bytes and
+parses only the record; every other entry (an older salt's indented
+one, a hand-written or a damaged one) goes through the layout-agnostic
+check, which parses the whole entry and re-encodes the record.  Both
+checks apply the same rule.  Anything that fails is a *corrupt* entry
+(a crashed writer, a bad sector, a bit flip): it is moved to
+``quarantine/`` for post-mortem and treated as a miss, so the job
+simply re-simulates instead of raising — and because simulation is a
+pure function of the spec, the healed entry is bit-identical.
+``repro cache verify|repair`` runs the layout-agnostic check as an
+offline sweep (docs/EXECUTION.md).
 
 Transient I/O errors on read count as misses; a failed store is
 counted and dropped (the cache is an accelerator, never a correctness
@@ -45,7 +55,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.exec.record import RunRecord
+from repro.exec.record import RunRecord, canonical_digest, record_checksum
 from repro.exec.spec import JobSpec
 
 #: Default cache directory (relative to the working directory).
@@ -56,6 +66,13 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Directory (under the cache root) corrupt entries are moved into.
 QUARANTINE_DIRNAME = "quarantine"
+
+# The fixed framing of an entry as ``put`` writes it:
+# {"checksum":"<32 hex>","record":<record>,"salt":"<salt>","spec":<spec>}
+_HEAD = b'{"checksum":"'
+_MARK = b'","record":'
+_MARK_AT = len(_HEAD) + 32     # 45: the checksum's 32 hex digits end here
+_RECORD_AT = _MARK_AT + len(_MARK)
 
 _code_salt: Optional[str] = None
 
@@ -85,20 +102,57 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
 
 
-def record_checksum(record_dict: Dict) -> str:
-    """Content checksum of a record payload (canonical-JSON sha256).
-
-    Stored inside every entry and re-verified on read, so silent byte
-    damage *within* the record (which could still parse as valid JSON)
-    is caught instead of served.
-    """
-    canonical = json.dumps(record_dict, sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
-
-
 class CorruptEntryError(ValueError):
     """A cache entry exists but fails validation (parse/checksum/key)."""
+
+
+def _check_entry(data: bytes, name: str, expect_digest: str) -> RunRecord:
+    """Validate an entry's bytes in any layout, or raise
+    :class:`CorruptEntryError` (truncation, bit flip, foreign record)."""
+    try:
+        # A high-bit flip makes the entry invalid UTF-8, and
+        # UnicodeDecodeError is a ValueError: corruption, not I/O.
+        payload = json.loads(data.decode("utf-8"))
+        checksum = payload["checksum"]
+        record_dict = payload["record"]
+        record = RunRecord.from_dict(record_dict)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptEntryError(
+            f"{name}: unparseable entry ({exc})") from exc
+    if checksum != record_checksum(record_dict):
+        raise CorruptEntryError(f"{name}: checksum mismatch")
+    if record.spec_digest != expect_digest:
+        raise CorruptEntryError(
+            f"{name}: holds record for spec "
+            f"{record.spec_digest}, filed under {expect_digest}")
+    return record
+
+
+def _entry_tail(spec: JobSpec) -> bytes:
+    """The bytes ``put`` writes after the record: the salt and the spec."""
+    return (f',"salt":"{code_salt()}",'
+            f'"spec":{spec.canonical_json()}}}').encode("utf-8")
+
+
+def _read_as_written(data: bytes, spec: JobSpec) -> Optional[RunRecord]:
+    """The record of an entry in exactly the layout ``put`` writes for
+    ``spec``, checked by hashing its stored bytes and parsing only them;
+    ``None`` for any other entry, which :func:`_check_entry` decides."""
+    tail = _entry_tail(spec)
+    end = len(data) - len(tail)
+    if (end <= _RECORD_AT or not data.startswith(_HEAD)
+            or data[_MARK_AT:_RECORD_AT] != _MARK
+            or not data.endswith(tail)):
+        return None
+    body = data[_RECORD_AT:end]
+    # Bytes against bytes: a damaged checksum is never decoded.
+    if canonical_digest(body).encode("ascii") != data[len(_HEAD):_MARK_AT]:
+        return None
+    try:
+        record = RunRecord.from_dict(json.loads(body))
+    except (ValueError, KeyError, TypeError):
+        return None     # hashed, but not a record: a hand-made entry
+    return record if record.spec_digest == spec.digest else None
 
 
 class ResultCache:
@@ -119,14 +173,22 @@ class ResultCache:
         # surfaced in the metrics dump (docs/OBSERVABILITY.md).
         self.lookup_seconds = 0.0
         self.store_seconds = 0.0
+        # "<root>/<salt>/", joined on first use so that building a
+        # cache does not hash the sources.
+        self._salt_dir = ""
+
+    def _entry_file(self, spec: JobSpec) -> str:
+        if not self._salt_dir:
+            self._salt_dir = str(self.root / code_salt()) + os.sep
+        return f"{self._salt_dir}{spec.digest}.json"
 
     def _path(self, spec: JobSpec) -> Path:
-        return self.root / code_salt() / f"{spec.digest}.json"
+        return Path(self._entry_file(spec))
 
     # -- entry validation ----------------------------------------------
-    def _load_entry(self, path: Path,
-                    expect_digest: Optional[str] = None) -> RunRecord:
-        """Read and fully validate one entry.
+    def _load_entry(self, path: Path) -> RunRecord:
+        """Read one entry and validate it against the spec digest it is
+        filed under (its file name).
 
         Raises ``FileNotFoundError`` on a plain miss, ``OSError`` on a
         transient read failure, and :class:`CorruptEntryError` when the
@@ -135,26 +197,7 @@ class ResultCache:
         """
         if self.chaos is not None:
             self.chaos.cache_read(str(path))
-        try:
-            # read_text() inside the try: a high-bit flip makes the
-            # entry invalid UTF-8, and UnicodeDecodeError is a
-            # ValueError — corruption, not a transient I/O failure.
-            # FileNotFoundError/OSError still propagate as themselves.
-            text = path.read_text()
-            payload = json.loads(text)
-            checksum = payload["checksum"]
-            record_dict = payload["record"]
-            record = RunRecord.from_dict(record_dict)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptEntryError(
-                f"{path.name}: unparseable entry ({exc})") from exc
-        if checksum != record_checksum(record_dict):
-            raise CorruptEntryError(f"{path.name}: checksum mismatch")
-        if expect_digest is not None and record.spec_digest != expect_digest:
-            raise CorruptEntryError(
-                f"{path.name}: holds record for spec "
-                f"{record.spec_digest}, filed under {expect_digest}")
-        return record
+        return _check_entry(path.read_bytes(), path.name, path.stem)
 
     def quarantine(self, path: Path) -> Optional[Path]:
         """Move a corrupt entry under ``quarantine/`` (best effort)."""
@@ -177,20 +220,28 @@ class ResultCache:
         """
         started = time.perf_counter()
         try:
-            path = self._path(spec)
+            path = self._entry_file(spec)
             try:
-                record = self._load_entry(path, spec.digest)
+                if self.chaos is not None:
+                    self.chaos.cache_read(path)
+                with open(path, "rb") as handle:
+                    data = handle.read()
             except FileNotFoundError:
-                self.misses += 1
-                return None
-            except CorruptEntryError:
-                self.quarantine(path)
                 self.misses += 1
                 return None
             except OSError:
                 self.io_errors += 1
                 self.misses += 1
                 return None
+            record = _read_as_written(data, spec)
+            if record is None:
+                try:
+                    record = _check_entry(data, os.path.basename(path),
+                                          spec.digest)
+                except CorruptEntryError:
+                    self.quarantine(Path(path))
+                    self.misses += 1
+                    return None
             self.hits += 1
             return record
         finally:
@@ -209,18 +260,15 @@ class ResultCache:
             if self.chaos is not None:
                 self.chaos.cache_write(str(path))
             path.parent.mkdir(parents=True, exist_ok=True)
-            record_dict = record.to_dict()
-            payload = {
-                "salt": code_salt(),
-                "spec": spec.canonical_dict(),
-                "record": record_dict,
-                "checksum": record_checksum(record_dict),
-            }
-            text = json.dumps(payload, sort_keys=True, indent=1)
+            # The compact, key-sorted JSON of {"checksum", "record",
+            # "salt", "spec"}, with the record encoded once.
+            body = record.canonical_json().encode("utf-8")
+            data = b"".join((_HEAD, canonical_digest(body).encode("ascii"),
+                             _MARK, body, _entry_tail(spec)))
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(text)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(data)
                 os.replace(tmp, path)
             except BaseException:
                 try:
@@ -261,7 +309,7 @@ class ResultCache:
         corrupt: List[Tuple[Path, str]] = []
         for path in self.entry_paths():
             try:
-                self._load_entry(path, expect_digest=path.stem)
+                self._load_entry(path)
             except CorruptEntryError as exc:
                 corrupt.append((path, str(exc)))
             except OSError as exc:

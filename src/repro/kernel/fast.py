@@ -111,10 +111,20 @@ class FastEngine(SimKernel):
         if delay.__class__ is not int or delay < 0:
             delay = validated_delay(delay)
         self._seq += 1
-        self._insert(
-            self.now + delay,
-            (self.now, self._cur_s_at, self._seq, _CALL, fn, args),
-        )
+        now = self.now
+        rec = (now, self._cur_s_at, self._seq, _CALL, fn, args)
+        # Inlined _insert, as in run(): one frame per callback.
+        t = now + delay
+        b = self._buckets.get(t)
+        if b is None:
+            self._buckets[t] = [rec]
+            heapq.heappush(self._times, t)
+        elif rec > b[-1]:
+            b.append(rec)
+        elif b is self._bucket:
+            insort(b, rec, lo=self._cursor + 1)
+        else:
+            insort(b, rec)
 
     def resume_at(self, proc: Process, time: int, value: Any,
                   s_at: int, p_s_at: int) -> None:

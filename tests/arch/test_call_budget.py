@@ -25,14 +25,16 @@ from repro.exec.engines import simulate
 from repro.exec.spec import make_spec
 
 #: Calls of one quick fib job on flex16 (1,828 tasks), by CPython
-#: ``(major, minor)``, when the budget was last lowered: after spawns
-#: stopped asking the scheduling policy for a target, the op replay
-#: subscripted the Timeout table instead of calling its ``get``, and an
-#: idle PE stopped reading the victim-space size (140,063 before;
-#: 149,203 before each PE ran its tasks in its own generator frame;
-#: 153,285 before the park counters became plain ints; 178,172 before
-#: the task records were slotted).  3.11 was measured on 3.11.7.
-FIB_FLEX16_QUICK_CALLS = {(3, 11): 133_991}
+#: ``(major, minor)``, when the budget was last lowered: after the
+#: kernel's ``schedule`` inserted its record inline instead of calling
+#: ``_insert`` (133,991 before; 140,063 before spawns stopped asking
+#: the scheduling policy for a target, the op replay subscripted the
+#: Timeout table instead of calling its ``get``, and an idle PE stopped
+#: reading the victim-space size; 149,203 before each PE ran its tasks
+#: in its own generator frame; 153,285 before the park counters became
+#: plain ints; 178,172 before the task records were slotted).  3.11 was
+#: measured on 3.11.7.
+FIB_FLEX16_QUICK_CALLS = {(3, 11): 132_162}
 
 
 def test_quick_fib_flex16_call_budget():

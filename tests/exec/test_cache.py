@@ -2,7 +2,9 @@
 
 import json
 
-from repro.exec import JobRunner, ResultCache, make_spec
+import pytest
+
+from repro.exec import JobRunner, ResultCache, make_spec, record_checksum
 from repro.exec.cache import code_salt
 
 
@@ -136,6 +138,117 @@ def test_non_utf8_entry_is_quarantined_not_raised(tmp_path):
     assert cache.get(spec) is None, "get() never raises, even on bad UTF-8"
     assert cache.quarantined == 1
     assert cache.io_errors == 0, "bad bytes are corruption, not I/O"
+
+
+def test_entry_is_compact_sorted_json_checksummed_by_the_record_digest(
+        tmp_path):
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    record = execute(spec)
+    data = cache.put(spec, record).read_bytes()
+    payload = json.loads(data)
+    assert data == json.dumps(payload, sort_keys=True,
+                              separators=(",", ":")).encode("utf-8")
+    assert payload["checksum"] == record.digest
+    assert payload == {"salt": code_salt(), "spec": spec.canonical_dict(),
+                       "record": record.to_dict(), "checksum": record.digest}
+
+
+def test_digit_change_inside_stored_record_is_quarantined(tmp_path):
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    record = execute(spec)
+    path = cache.put(spec, record)
+    data = path.read_bytes()
+    # The last digit of the cycle count, in place: same length, still
+    # valid JSON, the entry's layout intact.
+    field = b'"cycles":%d' % record.cycles
+    at = data.index(field) + len(field) - 1
+    digit = b"%d" % ((data[at] - ord("0") + 1) % 10)
+    path.write_bytes(data[:at] + digit + data[at + 1:])
+    assert json.loads(path.read_bytes())["checksum"] == record.digest
+    assert cache.verify() == (0, [(path, f"{path.name}: checksum mismatch")])
+    assert cache.get(spec) is None
+    assert cache.quarantined == 1 and cache.misses == 1
+
+
+def test_put_entries_are_served_without_the_layout_agnostic_check(
+        tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    record = execute(spec)
+    cache.put(spec, record)
+
+    def unexpected(*args):
+        raise AssertionError("an entry put() wrote took the slow check")
+
+    monkeypatch.setattr("repro.exec.cache._check_entry", unexpected)
+    assert cache.get(spec).digest == record.digest
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data.replace(b'"record":', b'"recorX":', 1),
+    lambda data: data[:-1] + b" ",
+])
+def test_damaged_framing_around_an_intact_record_is_quarantined(
+        tmp_path, damage):
+    # Record bytes and checksum intact, the entry no longer JSON with a
+    # "record" key: a corrupt entry, as the layout-agnostic check says.
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    path = cache.put(spec, execute(spec))
+    path.write_bytes(damage(path.read_bytes()))
+    assert cache.get(spec) is None
+    assert cache.quarantined == 1
+
+
+@pytest.mark.parametrize("field", [b'{"checksum":"', b'"record":'])
+def test_high_bit_flip_in_checksum_or_record_is_a_quarantined_miss(
+        tmp_path, field):
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    path = cache.put(spec, execute(spec))
+    data = path.read_bytes()
+    at = data.index(field) + len(field) + 5
+    path.write_bytes(data[:at] + bytes([data[at] ^ 0x80]) + data[at + 1:])
+    assert cache.get(spec) is None, "get() never raises, even on bad UTF-8"
+    assert cache.quarantined == 1 and cache.misses == 1
+    assert cache.io_errors == 0, "bad bytes are corruption, not I/O"
+
+
+def test_foreign_record_in_the_put_layout_is_quarantined(tmp_path):
+    cache = ResultCache(tmp_path)
+    a = make_spec("fib", 2, quick=True)
+    b = make_spec("fib", 4, quick=True)
+    record = execute(a)
+    # a's record, checksum intact, framed exactly as put() frames b's.
+    path = cache._path(b)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "salt": code_salt(), "spec": b.canonical_dict(),
+        "record": record.to_dict(), "checksum": record.digest,
+    }, sort_keys=True, separators=(",", ":")))
+    assert cache.get(b) is None
+    assert cache.quarantined == 1
+
+
+def test_indented_entry_under_the_current_salt_is_served(tmp_path):
+    """An indented entry, in a layout other than put()'s, passes the
+    layout-agnostic check."""
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    record = execute(spec)
+    path = cache._path(spec)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "salt": code_salt(), "spec": spec.canonical_dict(),
+        "record": record.to_dict(),
+        "checksum": record_checksum(record.to_dict()),
+    }, sort_keys=True, indent=1))
+    assert cache.verify() == (1, [])
+    served = cache.get(spec)
+    assert served is not None and served.digest == record.digest
+    assert cache.hits == 1 and cache.quarantined == 0
 
 
 def test_verify_and_repair_survive_non_utf8_entries(tmp_path):

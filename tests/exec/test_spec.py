@@ -1,6 +1,8 @@
 """JobSpec: canonical form, digests, and validation."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -81,6 +83,25 @@ class TestDigest:
         make = lambda: make_spec("quicksort", 8, quick=True,
                                  params={"n": 64}, steal_policy="random")
         assert make().digest == make().digest
+
+    def test_replace_recomputes_the_memoised_digest(self):
+        spec = make_spec("fib", 4, quick=True)
+        spec.digest
+        moved = dataclasses.replace(spec, num_pes=8)
+        fresh = make_spec("fib", 8, quick=True)
+        assert moved.canonical_json() == fresh.canonical_json()
+        assert moved.digest == fresh.digest != spec.digest
+
+    def test_pickle_round_trip_keeps_the_digest(self):
+        spec = make_spec("quicksort", 8, quick=True, params={"n": 64})
+        text = spec.canonical_json()
+        data = pickle.dumps(spec)
+        assert text.encode("utf-8") not in data, \
+            "pool workers never read the canonical JSON"
+        clone = pickle.loads(data)
+        assert clone == spec and hash(clone) == hash(spec)
+        assert clone.digest == spec.digest
+        assert clone.canonical_json() == text
 
     def test_labels(self):
         assert make_spec("fib", 4).label == "fib-flex4"

@@ -101,10 +101,11 @@ def _random_workload(eng, trace, seed):
     Mixes scheduled callbacks (with and without arguments), plain
     timeouts (run-ahead candidates), ``Timeout(0)`` yields, events,
     joins, parks, and ``resume_at`` with past, present and future
-    virtual ancestry, at this tick and at later ones.  That reaches every insert path the fast engine's tick buckets
-    keep sorted (a new tick, an append, an insort after the drain cursor
-    and a plain insort, from ``_insert`` and from the run loop's inlined
-    insert), both run-ahead vetoes and the run-ahead step itself.
+    virtual ancestry, at this tick and at later ones.  That reaches every
+    insert path the fast engine's tick buckets keep sorted (a new tick,
+    an append, an insort after the drain cursor and a plain insort, in
+    ``_insert`` and in the copies ``schedule`` and the run loop inline),
+    both run-ahead vetoes and the run-ahead step itself.
     """
     lfsr = LFSR16(seed)
 
