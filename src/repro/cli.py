@@ -4,8 +4,7 @@ Commands:
 
 * ``run <benchmark>`` — simulate one benchmark on one engine
   (``--trace out.json`` writes a Perfetto-loadable Chrome trace,
-  ``--stats`` dumps the run's counters); an invalid configuration
-  prints one ``repro: error:`` line and exits 2.
+  ``--stats`` dumps the run's counters).
 * ``report <benchmark>`` — instrumented run + full telemetry report
   (latency decomposition, time series, critical path).  A ``run`` or
   ``report`` stopped by ``--max-cycles`` or ``--watchdog`` prints
@@ -41,6 +40,9 @@ Commands:
 
 ``run`` and ``report`` accept ``--steal-policy`` to select the
 work-stealing policy for a single simulation (docs/SCHEDULING.md).
+An invalid input to any command (a PE count, job count or cycle budget
+below 1, an engine/benchmark pair, a bad ``--arrivals``) prints one
+``repro: error:`` line and exits 2.
 
 All experiment commands accept ``--full`` for paper-size workloads
 (default: quick sizes with the same shapes) plus the execution-layer
@@ -282,16 +284,11 @@ def _run_one(args, *, telemetry: bool):
 
 
 def _cmd_run(args) -> int:
-    from repro.core.exceptions import ConfigError, DeadlockError
+    from repro.core.exceptions import DeadlockError
 
     telemetry = bool(args.trace)
     try:
         result = _run_one(args, telemetry=telemetry)
-    except ConfigError as exc:
-        # A bad input (PE count, engine/benchmark pair, --arrivals)
-        # exits like an argparse error: one line, status 2.
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
     except DeadlockError as exc:
         # The diagnosis and its snapshot lines are the whole story.
         print(f"repro: error: {exc}", file=sys.stderr)
@@ -539,15 +536,24 @@ def _cmd_profile_report(args) -> int:
     return 0
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type for counts: an int >= 0 (exit 2 names the flag)."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts: an int >= 0 (exit 2 names the flag)."""
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for sizes: an int >= 1 (exit 2 names the flag)."""
+    return _int_at_least(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,12 +598,13 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="instrumented run + telemetry report"
     )
     add_run_args(report_parser)
-    report_parser.add_argument("--epochs", type=int, default=16,
+    report_parser.add_argument("--epochs", type=_positive_int, default=16,
                                help="time-series epochs (default 16)")
 
     def add_exec_args(p):
         """Execution-layer options shared by every experiment command."""
-        p.add_argument("--jobs", type=int, default=None, metavar="N",
+        p.add_argument("--jobs", type=_positive_int, default=None,
+                       metavar="N",
                        help="worker processes for simulations "
                        "(default: $REPRO_JOBS or 1; results are "
                        "bit-identical to serial)")
@@ -798,7 +805,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.core.exceptions import ConfigError
+
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        # A bad input (a size, an engine/benchmark pair, --arrivals)
+        # exits like an argparse error: one line, status 2.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

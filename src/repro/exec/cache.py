@@ -28,14 +28,16 @@ and interrupted runs can never leave a truncated entry behind.  Reads
 its stored ``checksum`` must match the record payload, and the record
 must name the spec digest it is filed under.  A lookup checks an entry
 in the layout ``put`` writes by hashing the stored record bytes and
-parses only the record; every other entry (an older salt's indented
-one, a hand-written or a damaged one) goes through the layout-agnostic
-check, which parses the whole entry and re-encodes the record.  Both
-checks apply the same rule.  Anything that fails is a *corrupt* entry
-(a crashed writer, a bad sector, a bit flip): it is moved to
-``quarantine/`` for post-mortem and treated as a miss, so the job
-simply re-simulates instead of raising — and because simulation is a
-pure function of the spec, the healed entry is bit-identical.
+parses only the record, and of the record not its per-PE rows, which
+stay bytes until something reads ``pe_stats``
+(:meth:`RunRecord.from_json`); every other entry (an older salt's
+indented one, a hand-written or a damaged one) goes through the
+layout-agnostic check, which parses the whole entry and re-encodes the
+record.  Both checks apply the same rule.  Anything that fails is a
+*corrupt* entry (a crashed writer, a bad sector, a bit flip): it is
+moved to ``quarantine/`` for post-mortem and treated as a miss, so the
+job simply re-simulates instead of raising — and because simulation is
+a pure function of the spec, the healed entry is bit-identical.
 ``repro cache verify|repair`` runs the layout-agnostic check as an
 offline sweep (docs/EXECUTION.md).
 
@@ -136,7 +138,8 @@ def _entry_tail(spec: JobSpec) -> bytes:
 
 def _read_as_written(data: bytes, spec: JobSpec) -> Optional[RunRecord]:
     """The record of an entry in exactly the layout ``put`` writes for
-    ``spec``, checked by hashing its stored bytes and parsing only them;
+    ``spec``, checked by hashing its stored bytes and parsing only them,
+    its per-PE rows on first read (:meth:`RunRecord.from_json`);
     ``None`` for any other entry, which :func:`_check_entry` decides."""
     tail = _entry_tail(spec)
     end = len(data) - len(tail)
@@ -149,7 +152,7 @@ def _read_as_written(data: bytes, spec: JobSpec) -> Optional[RunRecord]:
     if canonical_digest(body).encode("ascii") != data[len(_HEAD):_MARK_AT]:
         return None
     try:
-        record = RunRecord.from_dict(json.loads(body))
+        record = RunRecord.from_json(body)
     except (ValueError, KeyError, TypeError):
         return None     # hashed, but not a record: a hand-made entry
     return record if record.spec_digest == spec.digest else None

@@ -8,6 +8,12 @@ serialises to JSON byte-for-byte reproducibly.  Its :attr:`digest` is
 the content address used by the bit-exactness tests: two runs are "the
 same" iff their record digests match.
 
+A record read back from the result cache (:meth:`RunRecord.from_json`)
+keeps its per-PE rows, most of its bytes, undecoded until something
+reads ``pe_stats``: most campaigns read only a hit's timing.  The rows
+are decoded once, on that first read, and the record then equals one
+built eagerly from the same JSON in every respect.
+
 A :class:`JobFailure` is the structured error a worker returns instead
 of killing the batch: the exception type and message, plus whether the
 error was a typed simulator diagnostic
@@ -20,7 +26,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arch.result import RunResult
 
@@ -32,6 +38,15 @@ RECORD_VERSION = 2
 #: full value was already verified against the benchmark reference
 #: before the record was built).
 _VALUE_REPR_LIMIT = 96
+
+
+#: The per-PE rows' key and the opening of their array in a record's
+#: JSON; a cached record's rows are cut out of its bytes after it.
+_ROWS_KEY = b'"pe_stats":['
+
+#: The value that stands in for the cut-out rows while the rest of the
+#: record is parsed: the string "\0", whose only JSON spelling this is.
+_HOLE = b'"\\u0000"'
 
 
 def _canonical(payload: Any) -> str:
@@ -54,6 +69,35 @@ def record_checksum(record_dict: Dict[str, Any]) -> str:
     return canonical_digest(_canonical(record_dict).encode("utf-8"))
 
 
+def _cut_rows(body: bytes) -> Optional[Tuple[Dict[str, Any], bytes]]:
+    """Split a record's JSON into the rest of the record, parsed with
+    :data:`_HOLE` in place of its top-level ``pe_stats`` array, and that
+    array's bytes; ``None`` when the cut does not fit ``body``.
+
+    Every stored row is a flat object of ints (every ``PEStats`` field
+    is an ``int``), so the first ``]`` after the rows' ``[`` closes their
+    array.  Where it does not, because it sits inside a string or closes
+    a nested list, what is left of a JSON body is not JSON.  Where the
+    cut was some nested ``pe_stats`` array, the top-level ``pe_stats`` is
+    not the placeholder, which nothing else in ``body`` may spell.
+    Either way the caller parses ``body`` whole.
+    """
+    at = body.rfind(_ROWS_KEY)
+    if at < 0 or _HOLE in body:
+        return None
+    start = at + len(_ROWS_KEY) - 1
+    end = body.find(b"]", start) + 1
+    if not end:
+        return None
+    try:
+        rest = json.loads(body[:start] + _HOLE + body[end:])
+    except ValueError:
+        return None
+    if not isinstance(rest, dict) or rest.get("pe_stats") != "\0":
+        return None
+    return rest, body[start:end]
+
+
 @dataclass
 class RunRecord:
     """One verified simulation outcome, reduced to plain JSON types."""
@@ -72,6 +116,29 @@ class RunRecord:
     jobs: List[Dict[str, Any]] = field(default_factory=list)
 
     ok = True  # distinguishes records from JobFailures without isinstance
+    # The undecoded ``pe_stats`` array of a record read by from_json(),
+    # until its first read; ``None`` otherwise.  Not a field.
+    _pe_rows = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for an attribute that is not set: the pe_stats of
+        # a record whose rows are still bytes.
+        if name != "pe_stats" or self._pe_rows is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self._decode_rows()
+
+    def _decode_rows(self) -> List[Dict[str, Any]]:
+        rows = json.loads(self._pe_rows)
+        self.pe_stats = rows
+        del self._pe_rows
+        return rows
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A pickle or copy carries decoded rows, as an eager record's does.
+        if self._pe_rows is not None:
+            self._decode_rows()
+        return self.__dict__
 
     # -- derived timing/statistics (mirror RunResult) -------------------
     @property
@@ -146,6 +213,24 @@ class RunRecord:
             counters=payload.get("counters", {}),
             jobs=payload.get("jobs", []),
         )
+
+    @classmethod
+    def from_json(cls, body: bytes) -> "RunRecord":
+        """``from_dict(json.loads(body))``, but with the per-PE rows left
+        undecoded until ``pe_stats`` is first read (see :func:`_cut_rows`).
+
+        Rows that hash right but do not parse, which only a hand-made
+        entry can hold, raise ``ValueError`` on that first read, and
+        ``repro cache verify`` reports the entry.
+        """
+        cut = _cut_rows(body)
+        if cut is None:
+            return cls.from_dict(json.loads(body))
+        rest, rows = cut
+        record = cls.from_dict(rest)
+        del record.pe_stats
+        record._pe_rows = rows
+        return record
 
     @classmethod
     def from_result(cls, spec_digest: str, result: RunResult) -> "RunRecord":

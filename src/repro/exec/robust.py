@@ -22,7 +22,9 @@ JobRunner` the two pieces that make campaigns dependable
   zero completed jobs on the next run — even with ``--no-cache``.
   Writes use the run ledger's idiom (single ``write`` on an
   ``O_APPEND`` stream), so a kill mid-append leaves at most one
-  partial line, which the loader skips.
+  partial line, which the loader skips.  A record's line carries its
+  checksum (the record digest), as a result-cache entry does, so a
+  damaged line that still parses re-simulates instead of being served.
 
 A :class:`~repro.exec.runner.JobRunner` given no ``retry`` policy runs
 under ``RetryPolicy(max_attempts=1)``: its pools are still supervised,
@@ -39,13 +41,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-from repro.exec.record import JobFailure, RunRecord
+from repro.exec.record import JobFailure, RunRecord, record_checksum
 
 #: Manifest directory name under the cache root.
 MANIFEST_DIRNAME = "manifests"
 
 #: Manifest entry-format version, recorded on every line.
-MANIFEST_VERSION = 1
+#: v2: a record's line carries its ``checksum``.
+MANIFEST_VERSION = 2
 
 #: Failure kinds a default policy considers transient (host-caused).
 TRANSIENT_KINDS = ("timeout", "crash")
@@ -157,7 +160,9 @@ class CampaignManifest:
     self-contained line; on load, successful records and *deterministic*
     failures (``kind == "sim-error"``) count as completed — transient
     timeouts and crashes are re-run on resume, since a healthier host
-    may well succeed.
+    may well succeed.  A record counts only if it still hashes to the
+    checksum its line carries and names the spec digest it is filed
+    under.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -181,9 +186,11 @@ class CampaignManifest:
     def load(self) -> int:
         """(Re)load completed outcomes; returns how many were usable.
 
-        Unparseable lines (a SIGKILL mid-append) and entries from a
-        different code salt are skipped silently — the job simply
-        re-simulates.
+        Unparseable lines (a SIGKILL mid-append), entries from a
+        different code salt, records that no longer hash to their
+        line's checksum (damage that still parses) and outcomes filed
+        under another spec's digest are skipped silently — the job
+        simply re-simulates.
         """
         from repro.exec.cache import code_salt
 
@@ -210,15 +217,18 @@ class CampaignManifest:
                 continue
             try:
                 if entry.get("ok"):
-                    outcome = RunRecord.from_dict(entry["record"])
+                    record_dict = entry["record"]
+                    if record_checksum(record_dict) != entry["checksum"]:
+                        continue    # damaged: re-simulate
+                    outcome = RunRecord.from_dict(record_dict)
                 else:
-                    failure = JobFailure.from_dict(entry["failure"])
-                    if failure.kind != "sim-error":
+                    outcome = JobFailure.from_dict(entry["failure"])
+                    if outcome.kind != "sim-error":
                         continue    # transient: worth re-running
-                    outcome = failure
             except (KeyError, TypeError, ValueError):
                 continue
-            self._completed[digest] = outcome
+            if outcome.spec_digest == digest:
+                self._completed[digest] = outcome
         return len(self._completed)
 
     def completed(self, digest: str):
@@ -244,7 +254,9 @@ class CampaignManifest:
             "ok": bool(outcome.ok),
         }
         if outcome.ok:
-            entry["record"] = outcome.to_dict()
+            record_dict = outcome.to_dict()
+            entry["record"] = record_dict
+            entry["checksum"] = record_checksum(record_dict)
         else:
             entry["failure"] = outcome.to_dict()
         line = json.dumps(entry, sort_keys=True,

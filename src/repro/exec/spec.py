@@ -125,6 +125,9 @@ class JobSpec:
             )
         if self.num_pes < 1:
             raise ConfigError(f"need at least one PE: {self.num_pes}")
+        if self.max_cycles is not None and self.max_cycles < 1:
+            raise ConfigError(
+                f"need a cycle budget of at least 1: {self.max_cycles}")
         # Set with the fields rather than on first use: memos added
         # later cost about 0.7 KB per spec (a per-instance dict on
         # CPython 3.11) in a warm fig7 read-back.

@@ -1,6 +1,7 @@
 """RetryPolicy rules and CampaignManifest checkpoint/resume."""
 
 import json
+import re
 
 import pytest
 
@@ -161,6 +162,35 @@ def test_manifest_lines_are_self_contained_json(tmp_path):
     assert entry["digest"] == specs[0].digest
     assert entry["ok"] is True
     assert entry["record"]["cycles"] == 9
+
+
+def test_manifest_record_line_damaged_in_place_re_simulates(tmp_path):
+    """The last digit of a cycle count changed: the same length, still
+    JSON.  The record no longer hashes to its line's checksum, so the
+    job simulates again instead of resuming with the wrong count."""
+    specs = [make_spec("fib", n, quick=True) for n in (1, 2)]
+    records = JobRunner(manifest_dir=tmp_path).run_checked(specs)
+    (path,) = tmp_path.glob("*.jsonl")
+    data = path.read_bytes()
+    at = re.search(rb'"cycles":\d*(\d)', data).start(1)
+    bad = data[:at] + b"%d" % ((data[at] - ord("0") + 1) % 10) + data[at + 1:]
+    assert [json.loads(line) for line in bad.splitlines()]
+    path.write_bytes(bad)
+    runner = JobRunner(manifest_dir=tmp_path)
+    resumed = runner.run_checked(specs)
+    assert runner.stats.resumed == 1 and runner.stats.executed == 1
+    assert [r.digest for r in resumed] == [r.digest for r in records]
+
+
+def test_manifest_skips_a_record_filed_under_another_spec(tmp_path):
+    specs = _specs()
+    manifest = CampaignManifest.for_specs(tmp_path, specs)
+    record = RunRecord(spec_digest=specs[0].digest, label="fib-flex1",
+                       cycles=7, clock_mhz=100.0)
+    manifest.record(specs[1], record)   # checksum intact, wrong job
+    reloaded = CampaignManifest.for_specs(tmp_path, specs)
+    assert len(reloaded) == 0
+    assert reloaded.completed(specs[1].digest) is None
 
 
 # -- runner integration: --resume semantics -----------------------------

@@ -43,6 +43,11 @@ class TestMakeSpec:
         with pytest.raises(ConfigError):
             make_spec("fib", 0)
 
+    @pytest.mark.parametrize("max_cycles", [0, -5])
+    def test_cycle_budget_below_one_rejected(self, max_cycles):
+        with pytest.raises(ConfigError, match="cycle budget"):
+            make_spec("fib", 4, max_cycles=max_cycles)
+
     def test_bad_faults_type_rejected(self):
         with pytest.raises(ConfigError, match="FaultSpec"):
             make_spec("fib", 4, faults=0.01)

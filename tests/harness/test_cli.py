@@ -267,6 +267,39 @@ def test_run_config_error_exits_2(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv,error", [
+    pytest.param(["open", "--num-jobs", "0", "--no-cache"],
+                 "repro: error: need at least one job: 0",
+                 id="open-num-jobs-0"),
+    pytest.param(["open", "--window", "0", "--no-cache"],
+                 "repro: error: admission window must be >= 1 (or None): 0",
+                 id="open-window-0"),
+    pytest.param(["dse", "--points", "0", "--no-cache"],
+                 "repro: error: sample limit must be positive: 0",
+                 id="dse-points-0"),
+    pytest.param(["faults", "--pes", "0", "--no-cache"],
+                 "repro: error: need at least one PE: 0", id="faults-pes-0"),
+    pytest.param(["run", "fib", "--pes", "4", "--max-cycles", "-5"],
+                 "repro: error: need a cycle budget of at least 1: -5",
+                 id="run-max-cycles--5"),
+    pytest.param(["sweep", "fib", "--jobs", "-3", "--no-cache"],
+                 "repro sweep: error: argument --jobs: must be >= 1, got -3",
+                 id="jobs--3"),
+    pytest.param(["report", "fib", "--epochs", "0"],
+                 "repro report: error: argument --epochs: must be >= 1, "
+                 "got 0", id="report-epochs-0"),
+])
+def test_bad_numeric_input_ends_in_one_error_line(argv, error, capsys):
+    try:
+        status = main(argv)
+    except SystemExit as exc:       # argparse rejected the value
+        status = exc.code
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == error
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["run", "report"])
 def test_cycle_limit_prints_diagnosis_without_traceback(command, capsys):
     assert main([command, "fib", "--pes", "4", "--max-cycles", "10"]) == 1
