@@ -39,7 +39,11 @@ moved to ``quarantine/`` for post-mortem and treated as a miss, so the
 job simply re-simulates instead of raising — and because simulation is
 a pure function of the spec, the healed entry is bit-identical.
 ``repro cache verify|repair`` runs the layout-agnostic check as an
-offline sweep (docs/EXECUTION.md).
+offline sweep (docs/EXECUTION.md).  The one entry a lookup serves that
+this sweep would quarantine is one whose per-PE rows hash right but are
+not JSON, which only a hand-made entry can hold: its first read of
+``pe_stats`` raises ``ValueError`` naming the spec digest, and
+``repro cache repair`` moves it aside.
 
 Transient I/O errors on read count as misses; a failed store is
 counted and dropped (the cache is an accelerator, never a correctness

@@ -10,9 +10,11 @@ same" iff their record digests match.
 
 A record read back from the result cache (:meth:`RunRecord.from_json`)
 keeps its per-PE rows, most of its bytes, undecoded until something
-reads ``pe_stats``: most campaigns read only a hit's timing.  The rows
-are decoded once, on that first read, and the record then equals one
-built eagerly from the same JSON in every respect.
+reads ``pe_stats``.  fig6, fig7, fig9, table4, memstyles, open and
+faults never do: they read a hit's timing, counters and job rows.
+sweep, dse, policies, ablations, sizing and fig8 do, and the rows are
+decoded once, on that first read; the record then equals one built
+eagerly from the same JSON in every respect.
 
 A :class:`JobFailure` is the structured error a worker returns instead
 of killing the batch: the exception type and message, plus whether the
@@ -48,6 +50,11 @@ _ROWS_KEY = b'"pe_stats":['
 #: record is parsed: the string "\0", whose only JSON spelling this is.
 _HOLE = b'"\\u0000"'
 
+#: Parses the two pieces of a cut record.  Its ``raw_decode`` skips
+#: ``json.loads``'s encoding detection and whitespace handling, which a
+#: compact stored record does not need and a warm hit would pay twice.
+_DECODER = json.JSONDecoder()
+
 
 def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -69,6 +76,17 @@ def record_checksum(record_dict: Dict[str, Any]) -> str:
     return canonical_digest(_canonical(record_dict).encode("utf-8"))
 
 
+def _loads_compact(data: bytes) -> Any:
+    """``json.loads(data)`` for compact UTF-8 JSON, which a stored
+    record is; ``ValueError`` for anything else, say a value with a BOM
+    or whitespace around it, which ``json.loads`` would accept."""
+    text = data.decode("utf-8", "surrogatepass")
+    value, end = _DECODER.raw_decode(text)
+    if end != len(text):
+        raise ValueError("extra data after the JSON value")
+    return value
+
+
 def _cut_rows(body: bytes) -> Optional[Tuple[Dict[str, Any], bytes]]:
     """Split a record's JSON into the rest of the record, parsed with
     :data:`_HOLE` in place of its top-level ``pe_stats`` array, and that
@@ -79,18 +97,21 @@ def _cut_rows(body: bytes) -> Optional[Tuple[Dict[str, Any], bytes]]:
     array.  Where it does not, because it sits inside a string or closes
     a nested list, what is left of a JSON body is not JSON.  Where the
     cut was some nested ``pe_stats`` array, the top-level ``pe_stats`` is
-    not the placeholder, which nothing else in ``body`` may spell.
-    Either way the caller parses ``body`` whole.
+    not the placeholder, which nothing else in ``body`` may spell.  In
+    these cases, and for a body that is not compact UTF-8 JSON, the
+    caller parses ``body`` whole.
     """
     at = body.rfind(_ROWS_KEY)
-    if at < 0 or _HOLE in body:
+    # The placeholder holds a backslash, which a stored record seldom
+    # does, and one byte is found faster than the placeholder.
+    if at < 0 or (b"\\" in body and _HOLE in body):
         return None
     start = at + len(_ROWS_KEY) - 1
     end = body.find(b"]", start) + 1
     if not end:
         return None
     try:
-        rest = json.loads(body[:start] + _HOLE + body[end:])
+        rest = _loads_compact(body[:start] + _HOLE + body[end:])
     except ValueError:
         return None
     if not isinstance(rest, dict) or rest.get("pe_stats") != "\0":
@@ -129,7 +150,13 @@ class RunRecord:
         return self._decode_rows()
 
     def _decode_rows(self) -> List[Dict[str, Any]]:
-        rows = json.loads(self._pe_rows)
+        try:
+            rows = _loads_compact(self._pe_rows)
+        except ValueError as exc:
+            raise ValueError(
+                f"cached record for spec {self.spec_digest}: its pe_stats "
+                f"rows are not JSON ({exc}); run `repro cache repair` to "
+                f"quarantine the entry") from exc
         self.pe_stats = rows
         del self._pe_rows
         return rows
@@ -220,8 +247,9 @@ class RunRecord:
         undecoded until ``pe_stats`` is first read (see :func:`_cut_rows`).
 
         Rows that hash right but do not parse, which only a hand-made
-        entry can hold, raise ``ValueError`` on that first read, and
-        ``repro cache verify`` reports the entry.
+        entry can hold, raise ``ValueError`` naming the spec digest on
+        that first read; ``repro cache verify`` reports the entry and
+        ``repro cache repair`` quarantines it.
         """
         cut = _cut_rows(body)
         if cut is None:

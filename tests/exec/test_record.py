@@ -16,6 +16,7 @@ import pytest
 
 from repro.arch.result import PEStats
 from repro.exec import JobRunner, ResultCache, RunRecord, make_spec
+from repro.exec import record as record_module
 from repro.exec.cache import code_salt
 from repro.exec.record import canonical_digest
 from repro.workers import PAPER_BENCHMARKS, benchmark_has_lite
@@ -108,14 +109,15 @@ def test_hit_decodes_its_rows_once_on_first_read(warm, monkeypatch):
     spec = specs[0]
     eager = _eager(cache, spec)
     rows_decoded = []
-    loads = json.loads
+    decoder = record_module._DECODER
 
-    def counting_loads(text, *args, **kwargs):
-        if text[:1] in (b"[", "["):
-            rows_decoded.append(text)
-        return loads(text, *args, **kwargs)
+    class CountingDecoder:
+        def raw_decode(self, text):
+            if text[:1] == "[":
+                rows_decoded.append(text)
+            return decoder.raw_decode(text)
 
-    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(record_module, "_DECODER", CountingDecoder())
     served = cache.get(spec)
     assert (served.ns, served.cycles, served.counters) \
         == (eager.ns, eager.cycles, eager.counters)
@@ -172,13 +174,22 @@ _HEAD = b'{"clock_mhz":1.0,"cycles":5,"label":"L","spec_digest":"D",'
     pytest.param(_HEAD + b'"pe_stats":[{"a":1}],"z":"\\"pe_stats\\":[2]"}',
                  id="rows-key-in-a-string"),
     pytest.param(b'[{"pe_stats":[{"a":1}]}]', id="not-an-object"),
+    pytest.param(_HEAD + b'"pe_stats":[{"a":1}],"value_repr":"\\"q\\""}',
+                 id="backslash-but-no-placeholder"),
+    pytest.param(b" " + _HEAD + b'"pe_stats":[{"a":1}]}',
+                 id="leading-whitespace"),
+    pytest.param(_HEAD + b'"pe_stats":[{"a":1}]}\n', id="trailing-newline"),
+    pytest.param(b"\xef\xbb\xbf" + _HEAD + b'"pe_stats":[{"a":1}]}',
+                 id="utf8-bom"),
+    pytest.param(_HEAD + b'"pe_stats":[{"a":1}]}{"b":2}', id="extra-data"),
 ])
 def test_from_json_is_from_dict_of_the_parsed_body(body):
-    """Hand-made bodies where the first "]" does not close the rows, or
-    "pe_stats" names some other array: never a wrong record."""
+    """Hand-made bodies where the first "]" does not close the rows,
+    "pe_stats" names some other array, or the JSON is not compact:
+    never a wrong record, and an error wherever json.loads has one."""
     try:
         eager = RunRecord.from_dict(json.loads(body))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         with pytest.raises(type(exc)):
             RunRecord.from_json(body)
         return
@@ -206,5 +217,6 @@ def test_rows_that_hash_right_but_do_not_parse_fail_loudly(tmp_path):
     assert bad == path and "unparseable entry" in reason
     served = cache.get(spec)
     assert served.cycles == record.cycles
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"spec {spec.digest}: .*"
+                       r"run `repro cache repair`"):
         served.pe_stats
