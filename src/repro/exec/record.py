@@ -138,16 +138,9 @@ class RunRecord:
 
     ok = True  # distinguishes records from JobFailures without isinstance
     # The undecoded ``pe_stats`` array of a record read by from_json(),
-    # until its first read; ``None`` otherwise.  Not a field.
+    # until its first read (see _RowsOnFirstRead); ``None`` otherwise.
+    # Not a field.
     _pe_rows = None
-
-    def __getattr__(self, name: str) -> Any:
-        # Only reached for an attribute that is not set: the pe_stats of
-        # a record whose rows are still bytes.
-        if name != "pe_stats" or self._pe_rows is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self._decode_rows()
 
     def _decode_rows(self) -> List[Dict[str, Any]]:
         try:
@@ -277,6 +270,25 @@ class RunRecord:
             counters=dict(result.counters),
             jobs=[dict(j) for j in (result.jobs or [])],
         )
+
+
+class _RowsOnFirstRead:
+    """``RunRecord.pe_stats`` where a record has none set: the rows of a
+    record from :meth:`RunRecord.from_json`, decoded on first read.
+
+    A descriptor without ``__set__``, so a record's own ``pe_stats``
+    shadows it and it is reached only while the rows are bytes.  A
+    ``__getattr__`` would do the same, but CPython then looks up every
+    attribute of every record the slow way.
+    """
+
+    def __get__(self, record: Optional[RunRecord], owner=None) -> Any:
+        return self if record is None else record._decode_rows()
+
+
+# After @dataclass, which drops the class attribute of a field with a
+# default factory.
+RunRecord.pe_stats = _RowsOnFirstRead()
 
 
 #: Failure classes a :class:`JobFailure` may carry.  ``timeout`` = the

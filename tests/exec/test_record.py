@@ -104,6 +104,13 @@ def test_pickled_and_copied_records_carry_decoded_rows(warm):
         assert "_pe_rows" not in vars(served)
 
 
+def test_records_keep_the_generic_attribute_lookup():
+    # A __getattr__ or __getattribute__ on the class would make CPython
+    # look up every attribute of every record the slow way.
+    assert not hasattr(RunRecord, "__getattr__")
+    assert RunRecord.__getattribute__ is object.__getattribute__
+
+
 def test_hit_decodes_its_rows_once_on_first_read(warm, monkeypatch):
     cache, specs = warm
     spec = specs[0]
