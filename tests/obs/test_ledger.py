@@ -97,6 +97,32 @@ def test_runner_records_jobs(tmp_path):
     assert entries[1]["session"] != entries[0]["session"]
 
 
+def test_manifest_served_jobs_report_as_resumed(tmp_path, capsys):
+    """A ``--no-cache --resume`` rerun serves every job from the
+    campaign manifest: its progress lines and ledger entries say
+    resumed, and the ledger's queries count no cache hit."""
+    from repro.exec import StderrProgress
+
+    specs = [make_spec("fib", n, quick=True) for n in (1, 2)]
+    manifests = tmp_path / "manifests"
+    JobRunner(manifest_dir=manifests).run_checked(specs)
+    ledger = RunLedger(tmp_path / "ledger")
+    runner = JobRunner(manifest_dir=manifests, ledger=ledger,
+                       progress=StderrProgress())
+    runner.run_checked(specs)
+    assert runner.stats.resumed == 2 and runner.stats.cached == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "[1/2] fib-flex1: resumed", "[2/2] fib-flex2: resumed"]
+    entries = ledger.entries()
+    assert [(e["cached"], e["resumed"]) for e in entries] == [
+        (False, True), (False, True)]
+    rows = render_recent(entries).splitlines()[2:]
+    assert len(rows) == 2 and all(" resumed " in row for row in rows)
+    (trend,) = hit_trend(entries)
+    assert trend["cached"] == 0 and trend["hit_rate"] == 0.0
+    assert slowest_jobs(entries) == []
+
+
 def test_failed_job_ledgered_with_error(tmp_path):
     ledger = RunLedger(tmp_path)
     runner = JobRunner(ledger=ledger)
