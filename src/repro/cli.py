@@ -235,24 +235,10 @@ def _cmd_list() -> int:
 
 
 def _run_one(args, *, telemetry: bool):
-    from repro.harness.runners import (
-        run_cpu,
-        run_flex,
-        run_lite,
-        run_zynq_cpu,
-        run_zynq_flex,
-    )
+    from repro.exec import make_spec, simulate
 
-    engines = {
-        "flex": run_flex,
-        "lite": run_lite,
-        "cpu": run_cpu,
-        "zynq": run_zynq_flex,
-        "zynq-cpu": run_zynq_cpu,
-    }
-    kwargs = dict(quick=not args.full, telemetry=telemetry)
-    if args.max_cycles is not None:
-        kwargs["max_cycles"] = args.max_cycles
+    kwargs = dict(engine=args.engine, quick=not args.full,
+                  max_cycles=args.max_cycles)
     if args.watchdog is not None:
         kwargs["watchdog_interval"] = args.watchdog
     if args.steal_policy is not None:
@@ -261,10 +247,6 @@ def _run_one(args, *, telemetry: bool):
         from repro.core.exceptions import ConfigError
         from repro.workload import DEFAULT_ARRIVAL_SEED
 
-        if args.engine not in ("flex", "zynq"):
-            raise ConfigError(
-                "--arrivals needs the flex or zynq engine"
-            )
         parts = args.arrivals.split(":")
         try:
             if len(parts) not in (2, 3):
@@ -280,7 +262,8 @@ def _run_one(args, *, telemetry: bool):
             raise ConfigError(
                 f"--arrivals must be RATE:N[:SEED], got {args.arrivals!r}"
             ) from None
-    return engines[args.engine](args.benchmark, args.pes, **kwargs)
+    return simulate(make_spec(args.benchmark, args.pes, **kwargs),
+                    telemetry=telemetry)
 
 
 def _cmd_run(args) -> int:

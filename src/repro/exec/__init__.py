@@ -57,7 +57,6 @@ from repro.exec.robust import (
     RetryPolicy,
     campaign_id,
     default_manifest_dir,
-    list_manifests,
     unit_roll,
 )
 from repro.exec.runner import (
@@ -94,7 +93,6 @@ __all__ = [
     "default_cache_dir",
     "default_jobs",
     "default_manifest_dir",
-    "list_manifests",
     "make_spec",
     "record_checksum",
     "simulate",

@@ -57,9 +57,8 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.exec.record import RunRecord, canonical_digest, record_checksum
 from repro.exec.spec import JobSpec
@@ -176,10 +175,6 @@ class ResultCache:
         self.puts = 0
         self.quarantined = 0    # corrupt entries moved aside on read
         self.io_errors = 0      # transient read/store I/O failures
-        # Wall-clock spent inside get()/put(): the cache's own cost,
-        # surfaced in the metrics dump (docs/OBSERVABILITY.md).
-        self.lookup_seconds = 0.0
-        self.store_seconds = 0.0
         # "<root>/<salt>/", joined on first use so that building a
         # cache does not hash the sources.
         self._salt_dir = ""
@@ -225,34 +220,30 @@ class ResultCache:
         Corrupt entries are quarantined and read as misses; transient
         I/O errors read as misses.  Never raises.
         """
-        started = time.perf_counter()
+        path = self._entry_file(spec)
         try:
-            path = self._entry_file(spec)
+            if self.chaos is not None:
+                self.chaos.cache_read(path)
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except OSError:
+            self.io_errors += 1
+            self.misses += 1
+            return None
+        record = _read_as_written(data, spec)
+        if record is None:
             try:
-                if self.chaos is not None:
-                    self.chaos.cache_read(path)
-                with open(path, "rb") as handle:
-                    data = handle.read()
-            except FileNotFoundError:
+                record = _check_entry(data, os.path.basename(path),
+                                      spec.digest)
+            except CorruptEntryError:
+                self.quarantine(Path(path))
                 self.misses += 1
                 return None
-            except OSError:
-                self.io_errors += 1
-                self.misses += 1
-                return None
-            record = _read_as_written(data, spec)
-            if record is None:
-                try:
-                    record = _check_entry(data, os.path.basename(path),
-                                          spec.digest)
-                except CorruptEntryError:
-                    self.quarantine(Path(path))
-                    self.misses += 1
-                    return None
-            self.hits += 1
-            return record
-        finally:
-            self.lookup_seconds += time.perf_counter() - started
+        self.hits += 1
+        return record
 
     def put(self, spec: JobSpec, record: RunRecord) -> Optional[Path]:
         """Store ``record`` under ``spec``'s digest (atomic write).
@@ -261,7 +252,6 @@ class ResultCache:
         dropped the store — the cache is best-effort, so a full disk or
         flaky mount costs a future re-simulation, never the batch.
         """
-        started = time.perf_counter()
         try:
             path = self._path(spec)
             if self.chaos is not None:
@@ -290,8 +280,6 @@ class ResultCache:
         except OSError:
             self.io_errors += 1
             return None
-        finally:
-            self.store_seconds += time.perf_counter() - started
 
     # -- offline maintenance (repro cache verify|repair) ---------------
     def entry_paths(self) -> List[Path]:
@@ -334,14 +322,6 @@ class ResultCache:
             if target is not None:
                 moved.append(target)
         return valid, moved
-
-    def stats_dict(self) -> Dict[str, float]:
-        """Counts and timings, for metric dumps and reports."""
-        return dict(hits=self.hits, misses=self.misses, puts=self.puts,
-                    quarantined=self.quarantined,
-                    io_errors=self.io_errors,
-                    lookup_seconds=self.lookup_seconds,
-                    store_seconds=self.store_seconds)
 
     def __repr__(self) -> str:
         return (f"ResultCache({str(self.root)!r}: {self.hits} hits, "

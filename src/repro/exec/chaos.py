@@ -8,11 +8,13 @@ failure modes :mod:`repro.exec.robust` exists to absorb:
   (``os._exit``), breaking the ``ProcessPoolExecutor`` exactly the way
   an OOM kill does, which exercises pool supervision and rebuild;
 * **cache corruption** — a just-written cache entry is truncated or
-  bit-flipped, modelling a crashed writer or disk error, which
-  exercises checksum verification and quarantine;
+  bit-flipped (an even, seeded mix of the two), modelling a crashed
+  writer or disk error, which exercises checksum verification and
+  quarantine;
 * **transient I/O errors and slow I/O** — cache reads/writes and
-  ledger appends sporadically raise ``OSError`` or stall, which
-  exercises the best-effort guards at those boundaries.
+  ledger appends sporadically raise ``OSError`` or stall for
+  :data:`SLOW_IO_SECONDS`, which exercises the best-effort guards at
+  those boundaries.
 
 Every decision is a pure function of ``(seed, site, key, occurrence)``
 via :func:`~repro.exec.robust.unit_roll` — no host entropy — so a
@@ -23,9 +25,9 @@ because every injected host fault is either retried, quarantined, or
 degraded around, and the simulation itself is a pure function of the
 spec.
 
-Worker kills only apply to real pool workers; the serial in-process
-path (and the degraded fallback the runner uses after repeated pool
-loss) is never killed — it is the path of last resort that guarantees
+Worker kills only apply to real pool workers; the runner's in-process
+rounds (``jobs=1``, and the degraded fallback after repeated pool loss)
+are never killed — they are the path of last resort that guarantees
 completion.
 
 Wiring: pass one plan to :class:`~repro.exec.runner.JobRunner`
@@ -46,8 +48,10 @@ from repro.exec.robust import unit_roll
 #: Rates used by ``--chaos SEED`` and :meth:`ChaosPlan.default` —
 #: aggressive enough that a 30-job batch sees every fault class.
 DEFAULT_RATES = dict(kill_rate=0.15, corrupt_rate=0.25,
-                     io_error_rate=0.1, slow_io_rate=0.1,
-                     slow_io_seconds=0.002)
+                     io_error_rate=0.1, slow_io_rate=0.1)
+
+#: Latency one injected slow I/O adds, in seconds.
+SLOW_IO_SECONDS = 0.002
 
 
 class ChaosError(OSError):
@@ -70,8 +74,6 @@ class ChaosPlan:
     corrupt_rate: float = 0.0       # P(cache entry corrupted after write)
     io_error_rate: float = 0.0      # P(OSError on cache/ledger I/O)
     slow_io_rate: float = 0.0       # P(injected latency on cache I/O)
-    slow_io_seconds: float = 0.002  # injected latency amount
-    corrupt_mode: str = "mix"       # truncate | bitflip | mix
     sleep: Callable[[float], None] = time.sleep
     _counts: Dict[Tuple[str, str], int] = field(
         default_factory=dict, repr=False, compare=False)
@@ -119,7 +121,7 @@ class ChaosPlan:
         if self.slow_io_rate and self._roll(site + "-slow",
                                             key) < self.slow_io_rate:
             self.injected += 1
-            self.sleep(self.slow_io_seconds)
+            self.sleep(SLOW_IO_SECONDS)
         if self.io_error_rate and self._roll(site + "-err",
                                              key) < self.io_error_rate:
             self.injected += 1
@@ -144,12 +146,8 @@ class ChaosPlan:
         if not data:
             return
         self.injected += 1
-        mode = self.corrupt_mode
-        if mode == "mix":
-            mode = ("truncate" if unit_roll(self.seed, "corrupt-mode",
-                                            path.name) < 0.5
-                    else "bitflip")
-        if mode == "truncate":
+        # Truncate half the damaged entries; flip one bit in the rest.
+        if unit_roll(self.seed, "corrupt-mode", path.name) < 0.5:
             data = data[:max(1, len(data) // 2)]
         else:
             offset = int(unit_roll(self.seed, "corrupt-at",

@@ -8,13 +8,16 @@ JobRunner` the two pieces that make campaigns dependable
 (docs/EXECUTION.md, "Failure handling & recovery"):
 
 * :class:`RetryPolicy` — bounded re-attempts with exponential backoff
-  and *deterministic seeded jitter* (a pure function of ``(seed, spec
-  digest, attempt)``, so two hosts replaying the same campaign back off
+  and *deterministic jitter* (a pure function of ``(spec digest,
+  attempt)``, so two hosts replaying the same campaign back off
   identically).  Classification is by :attr:`~repro.exec.record.
-  JobFailure.kind`: timeouts are retried with a raised deadline,
-  crashes are retried on a fresh pool, and deterministic simulator
-  exceptions (``sim-error``) are never retried — re-running a pure
-  function on the same input cannot change the answer.
+  JobFailure.kind`: the :data:`TRANSIENT_KINDS` are retried — timeouts
+  with a raised deadline, crashes on a fresh pool — and deterministic
+  simulator exceptions (``sim-error``) never are: re-running a pure
+  function on the same input cannot change the answer.  The policy's
+  only settings are the attempt budget (``--retries``) and the sleep
+  function (a fake clock in tests); the backoff, jitter and deadline
+  scale are the module constants below.
 * :class:`CampaignManifest` — an append-only JSONL checkpoint of one
   batch's completed outcomes, keyed by a campaign id derived from the
   batch's spec digests and the code salt.  ``repro <cmd> --resume``
@@ -37,9 +40,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, Optional, Union
 
 from repro.exec.record import JobFailure, RunRecord, record_checksum
 
@@ -50,8 +53,20 @@ MANIFEST_DIRNAME = "manifests"
 #: v2: a record's line carries its ``checksum``.
 MANIFEST_VERSION = 2
 
-#: Failure kinds a default policy considers transient (host-caused).
+#: Failure kinds a retry policy re-runs (host-caused).
 TRANSIENT_KINDS = ("timeout", "crash")
+
+#: Backoff before a job's first retry, in seconds; each further retry
+#: waits ``BACKOFF_FACTOR`` times longer.
+BACKOFF_SECONDS = 0.05
+BACKOFF_FACTOR = 2.0
+
+#: Each backoff is scaled by a deterministic factor in
+#: ``[1 - JITTER, 1 + JITTER)``.
+JITTER = 0.25
+
+#: Each timeout retry's deadline is this many times the last one's.
+TIMEOUT_SCALE = 2.0
 
 
 def unit_roll(*parts: object) -> float:
@@ -71,57 +86,37 @@ def unit_roll(*parts: object) -> float:
 class RetryPolicy:
     """Bounded, failure-class-aware retry rules for one runner.
 
-    ``max_attempts`` counts *total* attempts per job (1 = never retry).
+    ``max_attempts`` counts *total* attempts per job (1 = never retry);
+    only a failure of one of the :data:`TRANSIENT_KINDS` is retried.
     The backoff before attempt ``k``'s retry is
-    ``backoff_seconds * backoff_factor**k``, scaled by a deterministic
-    jitter factor in ``[1 - jitter, 1 + jitter)`` drawn from
-    ``(seed, digest, attempt)``.  ``timeout_scale`` raises the per-job
-    deadline on each timeout retry, so a job that was genuinely slow
-    (not hung) gets room to finish.  ``max_pool_restarts`` bounds the
-    pool rebuilds of one parallel batch; past it, the remaining jobs
-    run serially in-process.  ``sleep`` is injectable so tests run with
-    a fake clock.
+    ``BACKOFF_SECONDS * BACKOFF_FACTOR**k``, scaled by a deterministic
+    jitter factor in ``[1 - JITTER, 1 + JITTER)`` drawn from
+    ``(digest, attempt)``.  Each timeout retry's deadline is
+    ``TIMEOUT_SCALE`` times the last, so a job that was genuinely slow
+    (not hung) gets room to finish.  ``sleep`` is injectable so tests
+    run with a fake clock.
     """
 
     max_attempts: int = 3
-    backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
-    timeout_scale: float = 2.0
-    retry_timeouts: bool = True
-    retry_crashes: bool = True
-    retry_sim_errors: bool = False
-    max_pool_restarts: int = 2
     sleep: Callable[[float], None] = time.sleep
-
-    def retryable(self, failure: JobFailure) -> bool:
-        """Whether this *class* of failure may ever be retried."""
-        kind = getattr(failure, "kind", None)
-        return {
-            "timeout": self.retry_timeouts,
-            "crash": self.retry_crashes,
-            "sim-error": self.retry_sim_errors,
-        }.get(kind, False)
 
     def should_retry(self, failure: JobFailure, attempt: int) -> bool:
         """Whether attempt index ``attempt`` (0-based) gets a retry."""
-        return attempt + 1 < self.max_attempts and self.retryable(failure)
+        return (attempt + 1 < self.max_attempts
+                and failure.kind in TRANSIENT_KINDS)
 
     def delay(self, digest: str, attempt: int) -> float:
         """Backoff before re-running ``digest`` after attempt ``attempt``."""
-        base = self.backoff_seconds * self.backoff_factor ** attempt
-        if not self.jitter:
-            return base
-        roll = unit_roll(self.seed, "retry-jitter", digest, attempt)
-        return base * (1.0 - self.jitter + 2.0 * self.jitter * roll)
+        roll = unit_roll(0, "retry-jitter", digest, attempt)
+        return (BACKOFF_SECONDS * BACKOFF_FACTOR ** attempt
+                * (1.0 - JITTER + 2.0 * JITTER * roll))
 
     def timeout_for(self, base: Optional[float],
                     attempt: int) -> Optional[float]:
         """Per-job deadline for attempt ``attempt`` (raised on retries)."""
         if base is None or attempt == 0:
             return base
-        return base * self.timeout_scale ** attempt
+        return base * TIMEOUT_SCALE ** attempt
 
 
 # ----------------------------------------------------------------------
@@ -277,13 +272,3 @@ class CampaignManifest:
     def __repr__(self) -> str:
         return (f"CampaignManifest({str(self.path)!r}: "
                 f"{len(self._completed)} completed)")
-
-
-def list_manifests(root: Union[str, Path]) -> List[Path]:
-    """Manifest files under ``root``, oldest first (for maintenance)."""
-    root = Path(root)
-    try:
-        return sorted(root.glob("*.jsonl"),
-                      key=lambda p: (p.stat().st_mtime, p.name))
-    except OSError:
-        return []

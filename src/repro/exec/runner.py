@@ -1,13 +1,17 @@
 """Parallel job execution with caching, timeouts, and failure capture.
 
-:class:`JobRunner` executes *batches* of specs:
+:class:`JobRunner` executes *batches* of specs.  The jobs that neither a
+campaign manifest nor the cache serves run in *rounds*: each round runs
+every unfinished job once, and every outcome then meets the same code,
+which retries it in the next round or stores and completes it:
 
-* ``jobs=1`` (the default, or ``REPRO_JOBS``) runs serially in-process —
-  the reference path every parallel execution must match bit-for-bit;
-* ``jobs>1`` fans the non-cached jobs out over a supervised
+* ``jobs=1`` (the default, or ``REPRO_JOBS``), or a batch with one job
+  to simulate, runs its rounds in-process — the reference path every
+  parallel execution must match bit-for-bit;
+* ``jobs>1`` runs each round on a fresh supervised
   ``concurrent.futures.ProcessPoolExecutor``.  Each worker builds its
-  engine from scratch, so results are bit-identical to the serial path
-  (every run owns its seeded LFSR streams; asserted by
+  engine from scratch, so results are bit-identical to the in-process
+  path (every run owns its seeded LFSR streams; asserted by
   ``tests/exec/test_bitexact.py``);
 * duplicate specs within a batch are simulated once and fanned back to
   every position — overlapping sweep grids get reuse even without a
@@ -16,9 +20,10 @@
   structured :class:`~repro.exec.record.JobFailure` carrying a
   failure ``kind`` (``timeout`` / ``crash`` / ``sim-error``);
 * ``timeout`` (seconds per job) bounds runaway simulations via
-  ``SIGALRM`` inside the worker (Unix main threads; ignored elsewhere);
+  ``SIGALRM`` where the job runs (Unix main threads; ignored elsewhere);
 * a ``progress`` callback — e.g. :class:`StderrProgress` — observes
-  every completion, cached or simulated.
+  every completion and its source: ``"simulated"``, ``"cache"``, or
+  ``"resumed"`` (served by a campaign manifest).
 
 The runner is also the host-side **instrumentation point**
 (docs/OBSERVABILITY.md): give it a
@@ -31,15 +36,15 @@ every simulated job runs under ``cProfile`` with one capture per spec
 digest.
 
 And it is the host-side **robustness point** (docs/EXECUTION.md,
-"Failure handling & recovery"): every parallel batch is supervised —
-a broken process pool is rebuilt and its unfinished jobs resubmitted
-at no retry cost, up to ``max_pool_restarts`` times, after which the
-rest degrade to serial in-process execution instead of failing the
-batch.  Give it a :class:`~repro.exec.robust.RetryPolicy` and a job's
-own transient failures (``timeout`` and ``crash`` outcomes) are retried
-with exponential backoff and a raised deadline; without one it runs under
-``RetryPolicy(max_attempts=1)``, which retries nothing.  Give it a
-``manifest_dir`` and every completion is checkpointed to an atomic
+"Failure handling & recovery"): every pool is supervised — the jobs a
+broken pool leaves unfinished go out again on a fresh pool at no retry
+cost, up to :data:`MAX_POOL_RESTARTS` times, after which the remaining
+rounds run in-process instead of failing the batch.  Give it a
+:class:`~repro.exec.robust.RetryPolicy` and a job's own transient
+failures (``timeout`` and ``crash`` outcomes) run again in the next
+round, after a backoff and with a raised deadline; without one it runs
+under ``RetryPolicy(max_attempts=1)``, which retries nothing.  Give it
+a ``manifest_dir`` and every completion is checkpointed to an atomic
 :class:`~repro.exec.robust.CampaignManifest`, so a re-run of the same
 batch (``--resume``) skips completed jobs even with the cache disabled
 and after a SIGKILL; give it a :class:`~repro.exec.chaos.ChaosPlan`
@@ -80,8 +85,14 @@ from repro.exec.spec import JobSpec
 #: Environment variable providing the default ``jobs`` value.
 JOBS_ENV = "REPRO_JOBS"
 
+#: Broken pools one batch rebuilds; past this, its remaining rounds run
+#: in-process.
+MAX_POOL_RESTARTS = 2
+
 Outcome = Union[RunRecord, JobFailure]
-ProgressFn = Callable[[int, int, JobSpec, Outcome, bool], None]
+#: ``(done, total, spec, outcome, source)``; ``source`` is
+#: ``"simulated"``, ``"cache"`` or ``"resumed"``.
+ProgressFn = Callable[[int, int, JobSpec, Outcome, str], None]
 
 
 def default_jobs() -> int:
@@ -163,14 +174,25 @@ def _worker(spec: JobSpec, timeout: Optional[float],
             submitted_at: Optional[float] = None,
             profile_path: Optional[str] = None,
             chaos_kill: bool = False):
-    """Pool-side wrapper around :func:`_run_job` adding measurement.
+    """:func:`_run_job` with measurement, in-process or in a pool worker.
 
     Returns ``(outcome, run_seconds, queue_seconds)``.  ``submitted_at``
-    is the parent's ``time.perf_counter()`` at submit time — comparable
+    is the round's ``time.perf_counter()`` at its start — comparable
     across ``fork`` on Linux (CLOCK_MONOTONIC is system-wide), so the
-    difference is the job's time in the pool queue; best-effort 0.0
-    where that assumption fails.  ``profile_path`` wraps the simulation
-    in a ``cProfile`` capture, entirely outside the result path.
+    difference is the job's wait behind the round's other jobs;
+    best-effort 0.0 where that assumption fails.  ``profile_path`` wraps
+    the simulation in a ``cProfile`` capture, entirely outside the
+    result path.
+
+    A full collection follows every job, after ``run_seconds`` is
+    taken.  A finished simulation is a web of reference cycles (engine,
+    processes, PEs, caches) that only a full collection frees, and the
+    automatic collector may not run one for several jobs, so peak RSS
+    would depend on which jobs ran where and in what order; collecting
+    after every job keeps at most one simulation in the heap.  The heap
+    a job starts from is frozen (``gc.freeze``: the pool's initializer,
+    or :meth:`JobRunner.run` for its batch), so each collection
+    traverses only what the job allocated.
 
     ``chaos_kill`` (decided by the parent's seeded
     :class:`~repro.exec.chaos.ChaosPlan`) hard-exits the worker
@@ -188,24 +210,9 @@ def _worker(spec: JobSpec, timeout: Optional[float],
             outcome = _run_job(spec, timeout)
     else:
         outcome = _run_job(spec, timeout)
-    return outcome, time.perf_counter() - start, queue_seconds
-
-
-def _pool_worker(*args):
-    """:func:`_worker`, then a full collection.
-
-    A finished simulation is a web of reference cycles (engine,
-    processes, PEs, caches) that only a full collection frees, and the
-    automatic collector may not run one for several jobs.  A worker's
-    peak RSS would then depend on which jobs the pool happened to give
-    it and in what order; collecting after every job keeps at most one
-    simulation in its heap.  The pool's initializer, ``gc.freeze``,
-    moves the heap inherited over ``fork`` out of the collector's
-    reach, so each collection traverses only the worker's own objects.
-    """
-    result = _worker(*args)
+    run_seconds = time.perf_counter() - start
     gc.collect()
-    return result
+    return outcome, run_seconds, queue_seconds
 
 
 class StderrProgress:
@@ -269,7 +276,7 @@ class StderrProgress:
         return f" [{', '.join(parts)}]" if parts else ""
 
     def __call__(self, done: int, total: int, spec: JobSpec,
-                 outcome: Outcome, cached: bool) -> None:
+                 outcome: Outcome, source: str) -> None:
         now = time.perf_counter()
         if done <= 1 or self._t0 is None:
             self._t0, self._n0 = now, done
@@ -279,7 +286,8 @@ class StderrProgress:
                     self._hint = self._ledger.estimate_seconds()
                 except Exception:     # ledger is advisory, never fatal
                     self._hint = None
-        tag = "cache" if cached else ("ok" if outcome.ok else "FAIL")
+        tag = (source if source != "simulated"
+               else "ok" if outcome.ok else "FAIL")
         line = f"[{done}/{total}] {spec.label}: {tag}"
         line += self._pace(done, total, now)
         line += self._health()
@@ -354,8 +362,9 @@ class JobRunner:
     timeout:
         Per-job wall-clock budget in seconds (``None`` = unbounded).
     progress:
-        Callback ``(done, total, spec, outcome, cached)`` observed on
-        every job completion.
+        Callback ``(done, total, spec, outcome, source)`` observed on
+        every job completion; ``source`` is ``"simulated"``,
+        ``"cache"`` or ``"resumed"``.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry`, or ``None``
         (default) for zero instrumentation.  Deterministic counters
@@ -365,8 +374,8 @@ class JobRunner:
         ``exec.cache.{lookup,store}_seconds``, ``exec.pool.occupancy``).
     ledger:
         A :class:`~repro.obs.ledger.RunLedger`, or ``None`` (default):
-        every completion (cached or simulated) is appended with its
-        timing split; retried attempts are appended too, marked
+        every completion (simulated, cached or resumed) is appended
+        with its timing split; retried attempts are appended too, marked
         ``retried``.
     profile_dir:
         Directory for per-job ``cProfile`` captures
@@ -377,8 +386,8 @@ class JobRunner:
         (default) for ``RetryPolicy(max_attempts=1)``: one attempt per
         job.  A policy with more attempts retries transient failures
         (timeouts with a raised deadline).  Either way broken pools are
-        rebuilt up to ``max_pool_restarts`` times, and further pool
-        loss degrades to serial in-process execution.
+        rebuilt up to :data:`MAX_POOL_RESTARTS` times, and further pool
+        loss degrades to in-process rounds.
     chaos:
         A :class:`~repro.exec.chaos.ChaosPlan`, or ``None`` (default):
         deterministic host-fault injection (worker kills) for the soak
@@ -460,186 +469,99 @@ class JobRunner:
         done = 0
         total = len(unique)
 
-        def _complete(spec: JobSpec, outcome: Outcome, cached: bool,
+        def _complete(spec: JobSpec, outcome: Outcome, source: str,
                       run_seconds: float = 0.0,
                       queue_seconds: float = 0.0,
-                      lookup_seconds: float = 0.0,
-                      resumed: bool = False) -> None:
+                      lookup_seconds: float = 0.0) -> None:
             nonlocal done
             done += 1
             outcomes[spec.digest] = outcome
-            if resumed:
+            if source == "resumed":
                 self.stats.resumed += 1
-            elif cached:
+            elif source == "cache":
                 self.stats.cached += 1
-            elif outcome.ok:
-                self.stats.executed += 1
-            if not outcome.ok and not resumed:
-                self.stats.failed += 1
-            if not cached and not resumed:
+            else:
                 self.stats.run_seconds += run_seconds
+                if outcome.ok:
+                    self.stats.executed += 1
+                else:
+                    self.stats.failed += 1
             if self.metrics is not None:
-                self._record_metrics(outcome, cached, run_seconds,
-                                     queue_seconds, resumed)
+                self._record_metrics(outcome, source, run_seconds,
+                                     queue_seconds)
             if self.ledger is not None:
                 self.ledger.record_job(
-                    spec, outcome, cached=cached,
+                    spec, outcome, source=source,
                     run_seconds=run_seconds,
                     queue_seconds=queue_seconds,
                     lookup_seconds=lookup_seconds, jobs=self.jobs,
-                    resumed=resumed,
                 )
-            if manifest is not None and not resumed:
+            if manifest is not None and source != "resumed":
                 manifest.record(spec, outcome)
             if self.progress is not None:
-                self.progress(done, total, spec, outcome, cached)
+                self.progress(done, total, spec, outcome, source)
 
         pending: List[JobSpec] = []
-        batch_start = time.perf_counter()
         for spec in unique.values():
             if manifest is not None:
                 prior = manifest.completed(spec.digest)
                 if prior is not None:
-                    _complete(spec, prior, cached=True, resumed=True)
+                    _complete(spec, prior, "resumed")
                     continue
             record, lookup = self._cache_get(spec)
             if record is not None:
-                _complete(spec, record, cached=True,
-                          lookup_seconds=lookup)
+                _complete(spec, record, "cache", lookup_seconds=lookup)
             else:
                 pending.append(spec)
-
-        if self.jobs > 1 and len(pending) > 1:
-            self._run_parallel(pending, _complete)
-        else:
-            self._run_serial(pending, _complete, batch_start)
-
-        return [outcomes[spec.digest] for spec in specs]
-
-    # -- serial path (jobs=1 and the degraded pool fallback) -----------
-    def _run_serial(self, pending: List[JobSpec],
-                    complete: Callable[..., None],
-                    batch_start: Optional[float] = None,
-                    attempts: Optional[Dict[str, int]] = None) -> None:
-        """In-process execution with the retry policy's loop.
-
-        ``attempts`` carries per-digest attempt counts accumulated by a
-        degraded parallel batch, so retry budgets span the degradation.
-        Chaos worker kills never apply here: the in-process path is the
-        guaranteed-completion fallback.
-
-        Like a pool worker (:func:`_pool_worker`), the batch runs a full
-        collection after every job, so it holds at most one finished
-        simulation; the caller's heap stays frozen for the batch, so
-        each collection traverses only what the batch allocated.
-        """
-        policy = self.retry
+        # The caller's heap stays frozen while the batch runs (see
+        # _worker).
         gc.freeze()
         try:
-            for spec in pending:
-                attempt = attempts.get(spec.digest, 0) if attempts else 0
-                while True:
-                    outcome, run_seconds, queue_seconds = _worker(
-                        spec, policy.timeout_for(self.timeout, attempt),
-                        batch_start, self._profile_path(spec))
-                    gc.collect()
-                    if not outcome.ok and policy.should_retry(outcome,
-                                                              attempt):
-                        self._note_retry(spec, outcome, run_seconds,
-                                         queue_seconds)
-                        policy.sleep(policy.delay(spec.digest, attempt))
-                        attempt += 1
-                        continue
-                    break
-                self._cache_put(spec, outcome)
-                complete(spec, outcome, cached=False,
-                         run_seconds=run_seconds,
-                         queue_seconds=queue_seconds)
+            self._run_rounds(pending, _complete)
         finally:
             gc.unfreeze()
+        return [outcomes[spec.digest] for spec in specs]
 
-    # -- parallel path (jobs>1, more than one pending job) -------------
-    def _run_parallel(self, pending: List[JobSpec],
-                      complete: Callable[..., None]) -> None:
-        """Supervised pool execution with retries and chaos kills.
+    # -- the round loop -------------------------------------------------
+    def _run_rounds(self, pending: List[JobSpec],
+                    complete: Callable[..., None]) -> None:
+        """Simulate ``pending`` in rounds until every job completes.
 
-        Runs in rounds: each round submits every unfinished spec to a
-        fresh pool (so crash retries never share a possibly-wounded
-        pool with their first attempt).  A worker death breaks the
-        whole ``ProcessPoolExecutor``; unfinished victims are
-        resubmitted without consuming retry budget — only a job's *own*
-        observed failure does.  After ``max_pool_restarts`` pool
-        losses, the remaining jobs degrade to serial in-process
-        execution with a warning rather than failing the batch.
+        Each round runs every unfinished job once: on a fresh pool when
+        ``jobs>1`` and more than one job is pending, in-process
+        otherwise.  A failure the retry policy calls transient runs
+        again in the next round, after a backoff and with a raised
+        deadline; every other outcome is stored and completed as it
+        arrives.  A job lost with a broken pool goes out again at no
+        retry cost; after :data:`MAX_POOL_RESTARTS` broken pools the
+        remaining rounds run in-process, with a warning.
         """
         policy = self.retry
         todo: Dict[str, JobSpec] = {s.digest: s for s in pending}
-        attempts: Dict[str, int] = {d: 0 for d in todo}
-        submissions: Dict[str, int] = {d: 0 for d in todo}
+        attempts: Dict[str, int] = dict.fromkeys(todo, 0)
+        submissions: Dict[str, int] = dict.fromkeys(todo, 0)
+        pooled = self.jobs > 1 and len(todo) > 1
         restarts = 0
         while todo:
-            broken = False
-            retried_this_round: List[str] = []
-            round_specs = list(todo.values())
-            with ProcessPoolExecutor(max_workers=self.jobs,
-                                     mp_context=self._mp_context(),
-                                     initializer=gc.freeze) as pool:
-                submitted_at = time.perf_counter()
-                futures = {}
-                for spec in round_specs:
-                    digest = spec.digest
-                    kill = (self.chaos is not None
-                            and self.chaos.kill_worker(
-                                digest, submissions[digest]))
-                    try:
-                        future = pool.submit(
-                            _pool_worker, spec,
-                            policy.timeout_for(self.timeout,
-                                               attempts[digest]),
-                            submitted_at, self._profile_path(spec), kill)
-                    except BrokenProcessPool:
-                        # A worker died before the round was fully
-                        # submitted: the rest wait for the next pool.
-                        broken = True
-                        break
-                    submissions[digest] += 1
-                    futures[future] = spec
-                remaining = len(futures)
-                for future in as_completed(futures):
-                    spec = futures[future]
-                    digest = spec.digest
-                    self._note_occupancy(remaining)
-                    remaining -= 1
-                    run_seconds = queue_seconds = 0.0
-                    try:
-                        outcome, run_seconds, queue_seconds = (
-                            future.result())
-                    except BrokenProcessPool:
-                        # A victim of some worker's death, not
-                        # necessarily the culprit: resubmit next round
-                        # at no retry cost (the pool-restart budget
-                        # bounds this loop instead).
-                        broken = True
-                        continue
-                    except Exception as exc:   # this worker died
-                        outcome = JobFailure.from_exception(
-                            spec.digest, spec.label, exc, kind="crash"
-                        )
-                    if not outcome.ok and policy.should_retry(
-                            outcome, attempts[digest]):
-                        self._note_retry(spec, outcome, run_seconds,
-                                         queue_seconds)
-                        retried_this_round.append(digest)
-                        attempts[digest] += 1
-                        continue        # stays in todo for next round
-                    self._cache_put(spec, outcome)
-                    del todo[digest]
-                    complete(spec, outcome, cached=False,
-                             run_seconds=run_seconds,
-                             queue_seconds=queue_seconds)
-            if not todo:
-                break
-            if broken:
+            retried: List[str] = []
+            specs = list(todo.values())
+            results = (self._pool_round(specs, attempts, submissions)
+                       if pooled else self._in_process_round(specs,
+                                                             attempts))
+            for spec, (outcome, run_seconds, queue_seconds) in results:
+                digest = spec.digest
+                if not outcome.ok and policy.should_retry(
+                        outcome, attempts[digest]):
+                    self._note_retry(spec, outcome, run_seconds,
+                                     queue_seconds)
+                    retried.append(digest)
+                    attempts[digest] += 1
+                    continue
+                self._cache_put(spec, outcome)
+                del todo[digest]
+                complete(spec, outcome, "simulated", run_seconds,
+                         queue_seconds)
+            if len(todo) > len(retried):    # some were lost with the pool
                 restarts += 1
                 self.stats.pool_restarts += 1
                 if self.metrics is not None:
@@ -647,25 +569,85 @@ class JobRunner:
                         "exec.pool.restarts",
                         "process pools rebuilt after worker death"
                     ).inc()
-                if restarts > policy.max_pool_restarts:
+                if restarts > MAX_POOL_RESTARTS:
                     warnings.warn(
                         f"process pool broke {restarts} times "
-                        f"(limit {policy.max_pool_restarts}); degrading "
-                        f"{len(todo)} remaining job(s) to serial "
-                        f"in-process execution", RuntimeWarning,
-                        stacklevel=3)
+                        f"(limit {MAX_POOL_RESTARTS}); degrading "
+                        f"{len(todo)} remaining job(s) to in-process "
+                        f"execution", RuntimeWarning, stacklevel=3)
                     if self.metrics is not None:
                         self.metrics.counter(
                             "exec.pool.degraded",
-                            "batches degraded to serial execution"
+                            "batches degraded to in-process execution"
                         ).inc()
-                    self._run_serial(list(todo.values()), complete,
-                                     attempts=attempts)
-                    return
-            if retried_this_round:
-                policy.sleep(max(
-                    policy.delay(d, attempts[d] - 1)
-                    for d in retried_this_round))
+                    pooled = False
+            if retried:
+                policy.sleep(max(policy.delay(d, attempts[d] - 1)
+                                 for d in retried))
+
+    def _in_process_round(self, specs: List[JobSpec],
+                          attempts: Dict[str, int]):
+        """Run ``specs`` one after another in this process, yielding
+        ``(spec, (outcome, run_seconds, queue_seconds))`` for each.
+
+        Chaos worker kills never apply here: in-process rounds are the
+        path of last resort that guarantees completion.
+        """
+        submitted_at = time.perf_counter()
+        for spec in specs:
+            yield spec, _worker(
+                spec, self.retry.timeout_for(self.timeout,
+                                             attempts[spec.digest]),
+                submitted_at, self._profile_path(spec))
+
+    def _pool_round(self, specs: List[JobSpec], attempts: Dict[str, int],
+                    submissions: Dict[str, int]):
+        """Run ``specs`` on a fresh pool, yielding like
+        :meth:`_in_process_round` as jobs finish.
+
+        A fresh pool per round keeps a retried crash off the pool its
+        first attempt may have wounded.  A job the round does not yield
+        was lost with the pool: one worker death breaks the whole
+        ``ProcessPoolExecutor``, failing every pending future, the
+        culprit's and its victims' alike, and a pool that breaks
+        mid-submission refuses the rest of the round.  ``submissions``
+        keys the chaos plan's kill decisions, so a resubmitted job
+        draws a fresh roll.
+        """
+        with ProcessPoolExecutor(max_workers=self.jobs,
+                                 mp_context=self._mp_context(),
+                                 initializer=gc.freeze) as pool:
+            submitted_at = time.perf_counter()
+            futures = {}
+            for spec in specs:
+                digest = spec.digest
+                kill = (self.chaos is not None
+                        and self.chaos.kill_worker(digest,
+                                                   submissions[digest]))
+                try:
+                    future = pool.submit(
+                        _worker, spec,
+                        self.retry.timeout_for(self.timeout,
+                                               attempts[digest]),
+                        submitted_at, self._profile_path(spec), kill)
+                except BrokenProcessPool:
+                    break
+                submissions[digest] += 1
+                futures[future] = spec
+            remaining = len(futures)
+            for future in as_completed(futures):
+                spec = futures[future]
+                self._note_occupancy(remaining)
+                remaining -= 1
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    continue
+                except Exception as exc:   # this worker died
+                    result = (JobFailure.from_exception(
+                        spec.digest, spec.label, exc, kind="crash"),
+                        0.0, 0.0)
+                yield spec, result
 
     # ------------------------------------------------------------------
     def _note_occupancy(self, remaining: int) -> None:
@@ -689,9 +671,9 @@ class JobRunner:
                 "failed attempts re-run under the retry policy").inc()
         if self.ledger is not None:
             self.ledger.record_job(
-                spec, outcome, cached=False, run_seconds=run_seconds,
-                queue_seconds=queue_seconds, jobs=self.jobs,
-                retried=True,
+                spec, outcome, source="simulated",
+                run_seconds=run_seconds, queue_seconds=queue_seconds,
+                jobs=self.jobs, retried=True,
             )
         if self.progress is not None:
             note = getattr(self.progress, "note_retry", None)
@@ -704,12 +686,11 @@ class JobRunner:
         if self.cache is None:
             return None, 0.0
         start = time.perf_counter()
-        quarantined_before = getattr(self.cache, "quarantined", 0)
+        quarantined_before = self.cache.quarantined
         record = self.cache.get(spec)
         lookup = time.perf_counter() - start
         self.stats.cache_seconds += lookup
-        quarantined = (getattr(self.cache, "quarantined", 0)
-                       - quarantined_before)
+        quarantined = self.cache.quarantined - quarantined_before
         if quarantined > 0:
             self.stats.quarantined += quarantined
             if self.metrics is not None:
@@ -735,10 +716,7 @@ class JobRunner:
         if not outcome.ok or self.cache is None:
             return
         start = time.perf_counter()
-        try:
-            stored = self.cache.put(spec, outcome)
-        except OSError:         # caches without their own guard
-            stored = None
+        stored = self.cache.put(spec, outcome)
         store = time.perf_counter() - start
         self.stats.cache_seconds += store
         if self.metrics is not None:
@@ -753,18 +731,17 @@ class JobRunner:
                 help="result-cache store wall-clock",
                 volatile=True).record(store)
 
-    def _record_metrics(self, outcome: Outcome, cached: bool,
-                        run_seconds: float, queue_seconds: float,
-                        resumed: bool = False) -> None:
+    def _record_metrics(self, outcome: Outcome, source: str,
+                        run_seconds: float, queue_seconds: float) -> None:
         """Per-completion metric emission (``self.metrics`` is set)."""
         from repro.obs.metrics import CYCLES_BUCKETS
 
         metrics = self.metrics
-        if resumed:
+        if source == "resumed":
             metrics.counter("exec.jobs.resumed",
                             "jobs skipped via a campaign manifest").inc()
             return
-        if cached:
+        if source == "cache":
             metrics.counter("exec.jobs.cached", "cache hits").inc()
         elif outcome.ok:
             metrics.counter("exec.jobs.executed",
@@ -780,7 +757,7 @@ class JobRunner:
             metrics.histogram("exec.job.cycles", CYCLES_BUCKETS,
                               "simulated cycles per job").record(
                 outcome.cycles)
-        if not cached:
+        if source == "simulated":
             metrics.histogram("exec.job.run_seconds",
                               help="per-job simulation wall-clock",
                               volatile=True).record(run_seconds)
@@ -792,8 +769,3 @@ class JobRunner:
     def run_checked(self, specs: Sequence[JobSpec]) -> List[RunRecord]:
         """Like :meth:`run` but raises ``JobFailedError`` on any failure."""
         return check_outcomes(self.run(specs))
-
-    def run_map(self, specs: Sequence[JobSpec]
-                ) -> Dict[JobSpec, Outcome]:
-        """Outcomes keyed by spec (deduplicated)."""
-        return dict(zip(specs, self.run(specs)))

@@ -120,11 +120,12 @@ class RunLedger:
             return
         self.appended += 1
 
-    def record_job(self, spec, outcome, *, cached: bool,
+    def record_job(self, spec, outcome, *, source: str,
                    run_seconds: float = 0.0, queue_seconds: float = 0.0,
                    lookup_seconds: float = 0.0, jobs: int = 1,
-                   retried: bool = False, resumed: bool = False) -> None:
-        """Ledger one :class:`~repro.exec.runner.JobRunner` completion."""
+                   retried: bool = False) -> None:
+        """Ledger one :class:`~repro.exec.runner.JobRunner` completion
+        from ``source`` (``"simulated"``, ``"cache"`` or ``"resumed"``)."""
         from repro.exec.cache import code_salt
 
         entry: Dict[str, object] = {
@@ -135,7 +136,7 @@ class RunLedger:
             "engine": spec.engine,
             "num_pes": spec.num_pes,
             "quick": spec.quick,
-            "cached": cached,
+            "cached": source == "cache",
             "ok": bool(outcome.ok),
             "run_seconds": round(run_seconds, 6),
             "queue_seconds": round(queue_seconds, 6),
@@ -147,7 +148,7 @@ class RunLedger:
             # A failed attempt about to be re-run: visible in history,
             # excluded from the ETA estimator's mean.
             entry["retried"] = True
-        if resumed:
+        if source == "resumed":
             # Served from a campaign manifest, not simulated now.
             entry["resumed"] = True
         if outcome.ok:
@@ -203,8 +204,10 @@ class RunLedger:
 # Queries (plain functions over entry lists, so tests can feed dicts).
 
 def slowest_jobs(entries: List[Dict], n: int = 10) -> List[Dict]:
-    """Top-N executed (non-cached) entries by ``run_seconds``."""
-    executed = [e for e in entries if not e.get("cached")]
+    """Top-N executed (neither cached nor resumed) entries by
+    ``run_seconds``."""
+    executed = [e for e in entries
+                if not e.get("cached") and not e.get("resumed")]
     return sorted(executed, key=lambda e: e.get("run_seconds", 0.0),
                   reverse=True)[:n]
 
@@ -232,7 +235,10 @@ def hit_trend(entries: List[Dict]) -> List[Dict]:
             order.append(session)
         row = sessions[session]
         row["jobs"] += 1
-        row["cached"] += 1 if entry.get("cached") else 0
+        # A resumed job is never a hit, though older ledgers mark it
+        # cached as well.
+        row["cached"] += (1 if entry.get("cached")
+                          and not entry.get("resumed") else 0)
         row["failed"] += 0 if entry.get("ok", True) else 1
         row["run_seconds"] += entry.get("run_seconds", 0.0)
     for row in sessions.values():
@@ -257,8 +263,9 @@ def render_recent(entries: List[Dict], n: int = 15) -> str:
             _when(entry.get("ts", 0.0)),
             entry.get("label", "?"),
             str(entry.get("digest", ""))[:8],
-            "cache" if entry.get("cached")
-            else ("ok" if entry.get("ok", True) else "FAIL"),
+            "resumed" if entry.get("resumed")
+            else "cache" if entry.get("cached")
+            else "ok" if entry.get("ok", True) else "FAIL",
             f"{entry.get('run_seconds', 0.0):.3f}",
             f"{entry.get('queue_seconds', 0.0):.3f}",
             f"{entry.get('lookup_seconds', 0.0):.4f}",

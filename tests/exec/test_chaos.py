@@ -44,10 +44,8 @@ def reference():
     return [r.digest for r in records]
 
 
-def _quiet_policy(**overrides):
-    kwargs = dict(max_attempts=4, sleep=lambda s: None)
-    kwargs.update(overrides)
-    return RetryPolicy(**kwargs)
+def _quiet_policy():
+    return RetryPolicy(max_attempts=4, sleep=lambda s: None)
 
 
 def test_chaos_plan_is_deterministic():
@@ -148,12 +146,16 @@ def test_ledger_chaos_drops_lines_not_jobs(tmp_path, reference):
     assert ledger.appended + ledger.dropped == 6
 
 
-def test_kill_only_chaos_retries_on_rebuilt_pools(tmp_path, reference):
+def test_kill_only_chaos_retries_on_rebuilt_pools(tmp_path, reference,
+                                                  monkeypatch):
+    import repro.exec.runner as runner_mod
+
     # Kill rate high enough to break pools, everything else clean.
     chaos = ChaosPlan(seed=3, kill_rate=0.4)
+    monkeypatch.setattr(runner_mod, "MAX_POOL_RESTARTS", 100)
     runner = JobRunner(
         jobs=2,
-        retry=_quiet_policy(max_pool_restarts=100),
+        retry=_quiet_policy(),
         chaos=chaos,
     )
     records = runner.run_checked(_specs()[:10])
@@ -222,13 +224,17 @@ def test_worker_death_without_policy_resubmits_its_victims(
     assert runner.stats.retried == runner.stats.failed == 0
 
 
-def test_pool_loss_degrades_to_serial_and_completes(reference):
+def test_pool_loss_degrades_to_serial_and_completes(reference,
+                                                    monkeypatch):
+    import repro.exec.runner as runner_mod
+
     # Kill every submission: the pool can never finish a job, so the
     # runner must exhaust its restart budget and degrade to serial.
     chaos = ChaosPlan(seed=1, kill_rate=1.0)
+    monkeypatch.setattr(runner_mod, "MAX_POOL_RESTARTS", 1)
     runner = JobRunner(
         jobs=2,
-        retry=_quiet_policy(max_pool_restarts=1),
+        retry=_quiet_policy(),
         chaos=chaos,
     )
     specs = _specs()[:4]

@@ -40,10 +40,10 @@ def clock(monkeypatch):
 def test_progress_lines_and_tags(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 2, quick=True)
-    progress(1, 3, spec, _record(spec), cached=False)
-    progress(2, 3, spec, _record(spec), cached=True)
+    progress(1, 3, spec, _record(spec), "simulated")
+    progress(2, 3, spec, _record(spec), "cache")
     failure = type("F", (), {"ok": False})()
-    progress(3, 3, spec, failure, cached=False)
+    progress(3, 3, spec, failure, "simulated")
     lines = _lines(capsys)
     assert "[1/3] fib-flex2: ok" in lines[0]
     assert "[2/3] fib-flex2: cache" in lines[1]
@@ -53,9 +53,9 @@ def test_progress_lines_and_tags(capsys, clock):
 def test_measured_rate_and_eta(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 5, spec, _record(spec), cached=False)
+    progress(1, 5, spec, _record(spec), "simulated")
     clock.advance(2.0)          # 1 more job in 2s -> 0.5 jobs/s
-    progress(2, 5, spec, _record(spec), cached=False)
+    progress(2, 5, spec, _record(spec), "simulated")
     lines = _lines(capsys)
     assert "jobs/s" not in lines[0], "no rate before two data points"
     match = re.search(r"\((\d+\.\d) jobs/s, eta (\d+)s\)", lines[1])
@@ -67,20 +67,20 @@ def test_measured_rate_and_eta(capsys, clock):
 def test_no_eta_on_final_job(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 2, spec, _record(spec), cached=False)
+    progress(1, 2, spec, _record(spec), "simulated")
     clock.advance(1.0)
-    progress(2, 2, spec, _record(spec), cached=False)
+    progress(2, 2, spec, _record(spec), "simulated")
     assert "eta" not in _lines(capsys)[1]
 
 
 def test_state_resets_between_batches(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 2, spec, _record(spec), cached=False)
+    progress(1, 2, spec, _record(spec), "simulated")
     clock.advance(1.0)
-    progress(2, 2, spec, _record(spec), cached=False)
+    progress(2, 2, spec, _record(spec), "simulated")
     # New batch: done restarts at 1; the old rate must not leak in.
-    progress(1, 4, spec, _record(spec), cached=False)
+    progress(1, 4, spec, _record(spec), "simulated")
     assert "jobs/s" not in _lines(capsys)[2]
 
 
@@ -97,7 +97,7 @@ class _StubLedger:
 def test_ledger_hint_seeds_first_eta(capsys, clock):
     progress = StderrProgress(ledger=_StubLedger(0.5))  # 2 jobs/s prior
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 5, spec, _record(spec), cached=False)
+    progress(1, 5, spec, _record(spec), "simulated")
     line = _lines(capsys)[0]
     match = re.search(r"\((\d+\.\d) jobs/s, eta (\d+)s\)", line)
     assert match, line
@@ -108,16 +108,16 @@ def test_ledger_hint_seeds_first_eta(capsys, clock):
 def test_ledger_failure_is_not_fatal(capsys, clock):
     progress = StderrProgress(ledger=_StubLedger(OSError("disk gone")))
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 2, spec, _record(spec), cached=False)
+    progress(1, 2, spec, _record(spec), "simulated")
     assert "[1/2] fib-flex1: ok" in _lines(capsys)[0]
 
 
 def test_measured_rate_wins_over_hint(capsys, clock):
     progress = StderrProgress(ledger=_StubLedger(100.0))  # terrible prior
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 4, spec, _record(spec), cached=False)
+    progress(1, 4, spec, _record(spec), "simulated")
     clock.advance(1.0)
-    progress(2, 4, spec, _record(spec), cached=False)
+    progress(2, 4, spec, _record(spec), "simulated")
     match = re.search(r"\((\d+\.\d) jobs/s", _lines(capsys)[1])
     assert match and float(match.group(1)) == 1.0
 
@@ -127,14 +127,14 @@ def test_measured_rate_wins_over_hint(capsys, clock):
 def test_retries_and_quarantines_surface_on_lines(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 3, spec, _record(spec), cached=False)
+    progress(1, 3, spec, _record(spec), "simulated")
     assert "retried" not in _lines(capsys)[0], "quiet until nonzero"
     progress.note_retry()
     progress.note_retry()
     progress.note_retry()
     progress.note_quarantine()
     clock.advance(1.0)
-    progress(2, 3, spec, _record(spec), cached=False)
+    progress(2, 3, spec, _record(spec), "simulated")
     assert "[3 retried, 1 quarantined]" in _lines(capsys)[0]
 
 
@@ -143,7 +143,7 @@ def test_retried_attempts_do_not_inflate_the_rate(capsys, clock):
     the next line must measure completions, not attempts."""
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
-    progress(1, 5, spec, _record(spec), cached=False)
+    progress(1, 5, spec, _record(spec), "simulated")
     # Two failed attempts re-run over one second...
     progress.note_retry()
     clock.advance(0.5)
@@ -151,7 +151,7 @@ def test_retried_attempts_do_not_inflate_the_rate(capsys, clock):
     clock.advance(0.5)
     # ...then one more second produces the second completion.
     clock.advance(1.0)
-    progress(2, 5, spec, _record(spec), cached=False)
+    progress(2, 5, spec, _record(spec), "simulated")
     line = _lines(capsys)[1]
     match = re.search(r"\((\d+\.\d) jobs/s, eta (\d+)s\)", line)
     assert match, line
@@ -164,8 +164,8 @@ def test_health_counters_reset_at_batch_end(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
     progress.note_retry()
-    progress(1, 1, spec, _record(spec), cached=False)
+    progress(1, 1, spec, _record(spec), "simulated")
     assert "[1 retried]" in _lines(capsys)[0]
     # Next batch starts clean.
-    progress(1, 1, spec, _record(spec), cached=False)
+    progress(1, 1, spec, _record(spec), "simulated")
     assert "retried" not in _lines(capsys)[0]

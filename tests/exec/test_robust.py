@@ -37,9 +37,9 @@ def test_unit_roll_deterministic_and_uniformish():
 
 def test_retry_classification_by_kind():
     policy = RetryPolicy()
-    assert policy.retryable(_failure("timeout"))
-    assert policy.retryable(_failure("crash"))
-    assert not policy.retryable(_failure("sim-error")), \
+    assert policy.should_retry(_failure("timeout"), 0)
+    assert policy.should_retry(_failure("crash"), 0)
+    assert not policy.should_retry(_failure("sim-error"), 0), \
         "re-running a pure function cannot change the answer"
 
 
@@ -53,29 +53,28 @@ def test_retry_budget_is_total_attempts():
 
 
 def test_backoff_grows_with_deterministic_jitter():
-    policy = RetryPolicy(backoff_seconds=0.1, backoff_factor=2.0,
-                         jitter=0.25, seed=3)
+    policy = RetryPolicy()
     d0 = policy.delay("a" * 32, 0)
     d1 = policy.delay("a" * 32, 1)
-    # Within the jitter band around 0.1 and 0.2 respectively.
-    assert 0.075 <= d0 < 0.125
-    assert 0.15 <= d1 < 0.25
-    # Pure function of (seed, digest, attempt): replayable.
-    assert d0 == RetryPolicy(backoff_seconds=0.1, jitter=0.25,
-                             seed=3).delay("a" * 32, 0)
-    assert d0 != RetryPolicy(backoff_seconds=0.1, jitter=0.25,
-                             seed=4).delay("a" * 32, 0)
+    # Within the jitter band around 0.05 and 0.1 respectively.
+    assert 0.0375 <= d0 < 0.0625
+    assert 0.075 <= d1 < 0.125
+    # Pure function of (digest, attempt): replayable.
+    assert d0 == RetryPolicy(max_attempts=5).delay("a" * 32, 0)
 
 
-def test_no_jitter_is_exact_exponential():
-    policy = RetryPolicy(backoff_seconds=0.5, backoff_factor=3.0,
-                         jitter=0.0)
-    assert policy.delay("d", 0) == 0.5
-    assert policy.delay("d", 2) == 4.5
+def test_default_backoff_delays_are_pinned():
+    """The backoff constants keep the delays of the policy whose
+    backoff, jitter and seed were settable, at their defaults."""
+    policy = RetryPolicy()
+    assert [policy.delay("a" * 32, k) for k in range(3)] == [
+        0.03930964332357492, 0.11537249326355647, 0.16608638694010544]
+    assert [policy.delay("d", k) for k in range(3)] == [
+        0.052330812353502426, 0.10799524841580524, 0.1924977513990092]
 
 
 def test_timeout_raised_on_retries_only():
-    policy = RetryPolicy(timeout_scale=2.0)
+    policy = RetryPolicy()
     assert policy.timeout_for(None, 3) is None
     assert policy.timeout_for(10.0, 0) == 10.0
     assert policy.timeout_for(10.0, 1) == 20.0

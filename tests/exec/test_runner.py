@@ -74,7 +74,7 @@ def test_pool_worker_frees_each_finished_job(monkeypatch):
     enabled = gc.isenabled()
     gc.disable()        # only the worker's own collection may free it
     try:
-        outcome, _, _ = runner_mod._pool_worker(
+        outcome, _, _ = runner_mod._worker(
             make_spec("fib", 2, quick=True), None)
     finally:
         if enabled:
@@ -131,20 +131,13 @@ def test_run_checked_raises_with_structured_failure():
 def test_progress_callback_sees_every_job():
     seen = []
 
-    def observe(done, total, spec, outcome, cached):
-        seen.append((done, total, spec.label, outcome.ok, cached))
+    def observe(done, total, spec, outcome, source):
+        seen.append((done, total, spec.label, outcome.ok, source))
 
     runner = JobRunner(progress=observe)
     runner.run([make_spec("fib", n, quick=True) for n in (1, 2)])
-    assert seen == [(1, 2, "fib-flex1", True, False),
-                    (2, 2, "fib-flex2", True, False)]
-
-
-def test_run_map_keys_by_spec():
-    specs = [make_spec("fib", n, quick=True) for n in (1, 2)]
-    outcomes = JobRunner().run_map(specs)
-    assert set(outcomes) == set(specs)
-    assert all(o.ok for o in outcomes.values())
+    assert seen == [(1, 2, "fib-flex1", True, "simulated"),
+                    (2, 2, "fib-flex2", True, "simulated")]
 
 
 def test_verification_failure_is_not_a_typed_diagnostic():
@@ -294,6 +287,41 @@ def test_retry_budget_exhausts_to_failure(monkeypatch):
     assert runner.stats.retried == 1     # one re-attempt, then give up
     assert runner.stats.failed == 1
     assert sum(calls.values()) == 2
+
+
+def test_in_process_retry_runs_after_the_rest_of_its_round(monkeypatch):
+    """In-process rounds retry like pooled ones: a job that timed out
+    runs again after the round's other jobs, once, behind one backoff,
+    with its deadline raised."""
+    from repro.exec import RetryPolicy
+    from repro.exec import runner as runner_mod
+
+    first, second = (make_spec("fib", n, quick=True) for n in (1, 2))
+    deadlines = []
+    run_job = runner_mod._run_job
+
+    def first_times_out_once(spec, timeout):
+        deadlines.append((spec.label, timeout))
+        if spec == first and len(deadlines) == 1:
+            return JobFailure(spec_digest=spec.digest, label=spec.label,
+                              error_type="FakeTimeout", message="injected",
+                              timed_out=True, kind="timeout")
+        return run_job(spec, timeout)
+
+    monkeypatch.setattr(runner_mod, "_run_job", first_times_out_once)
+    sleeps, completed = [], []
+    runner = JobRunner(
+        timeout=30.0, retry=RetryPolicy(max_attempts=2,
+                                        sleep=sleeps.append),
+        progress=lambda done, total, spec, outcome, source:
+            completed.append(spec.label))
+    records = runner.run_checked([first, second])
+    assert completed == ["fib-flex2", "fib-flex1"]
+    assert [r.label for r in records] == ["fib-flex1", "fib-flex2"]
+    assert runner.stats.retried == 1 and runner.stats.executed == 2
+    assert deadlines == [("fib-flex1", 30.0), ("fib-flex2", 30.0),
+                         ("fib-flex1", 60.0)]
+    assert sleeps == [RetryPolicy().delay(first.digest, 0)]
 
 
 def test_sim_errors_never_retried(monkeypatch):

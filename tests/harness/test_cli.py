@@ -259,6 +259,9 @@ def test_negative_counts_rejected(tmp_path, capsys, argv, flag):
     pytest.param(["run", "fib", "--arrivals", "2:x"],
                  "--arrivals must be RATE:N[:SEED], got '2:x'",
                  id="arrivals-2:x"),
+    pytest.param(["run", "fib", "--engine", "cpu", "--arrivals", "2:8"],
+                 "open-system workloads need the flex or zynq engine, "
+                 "not 'cpu'", id="arrivals-cpu"),
 ])
 def test_run_config_error_exits_2(argv, message, capsys):
     assert main(argv) == 2
