@@ -1,6 +1,8 @@
 """Result cache: content addressing, salt invalidation, corruption."""
 
+import dataclasses
 import json
+import os
 
 import pytest
 
@@ -249,6 +251,42 @@ def test_indented_entry_under_the_current_salt_is_served(tmp_path):
     served = cache.get(spec)
     assert served is not None and served.digest == record.digest
     assert cache.hits == 1 and cache.quarantined == 0
+
+
+def test_entry_larger_than_one_read_round_trips(tmp_path):
+    """An entry of a few hundred KB, many reads long, is served whole
+    by get() and passes the offline check."""
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    record = dataclasses.replace(execute(spec), jobs=[
+        {"job": i, "tenant": "t", "arrival": 3 * i, "injected": 3 * i,
+         "admitted": 3 * i + 1, "completed": 5 * i + 7,
+         "latency": 2 * i + 7} for i in range(4000)])
+    path = cache.put(spec, record)
+    assert path.stat().st_size > 256 * 1024
+    served = cache.get(spec)
+    assert served == record and served.digest == record.digest
+    assert cache.hits == 1 and cache.quarantined == 0
+    assert cache.verify() == (1, [])
+
+
+def test_directory_at_an_entry_path_is_an_io_miss(tmp_path):
+    """An entry path that cannot be read is an I/O error, counted as a
+    miss: not corruption, so nothing is moved aside."""
+    cache = ResultCache(tmp_path)
+    spec = make_spec("fib", 2, quick=True)
+    path = cache._path(spec)
+    path.mkdir(parents=True)
+    fds = len(os.listdir("/dev/fd"))
+    for _ in range(20):
+        assert cache.get(spec) is None
+    assert len(os.listdir("/dev/fd")) == fds, "a failed read leaks no fd"
+    assert (cache.misses, cache.io_errors, cache.quarantined) == (20, 20, 0)
+    assert cache.hits == 0 and path.is_dir()
+    valid, corrupt = cache.verify()
+    assert valid == 0
+    assert [(p, reason.split(":")[0]) for p, reason in corrupt] == \
+        [(path, "unreadable")]
 
 
 def test_verify_and_repair_survive_non_utf8_entries(tmp_path):

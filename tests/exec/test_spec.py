@@ -1,13 +1,19 @@
 """JobSpec: canonical form, digests, and validation."""
 
 import dataclasses
+import hashlib
 import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.arch.config import AcceleratorConfig
 from repro.core.exceptions import ConfigError
 from repro.exec import ENGINES, JobSpec, make_spec
+from repro.resil.faults import FaultSpec
+from repro.sim.timing import ClockDomain
 
 
 class TestMakeSpec:
@@ -131,3 +137,146 @@ class TestSpecIsFrozen:
     def test_direct_construction_validates_engine(self):
         with pytest.raises(ConfigError):
             JobSpec(benchmark="fib", engine="nope")
+
+
+# -- the canonical JSON against the form it was first defined by ------
+#
+# A test-local copy of the spec's original canonical form: a dict of
+# JSON-safe values, dumped with sorted keys and compact separators.
+# Every spec and record digest, and every cache entry, rests on these
+# bytes, so ``canonical_json()`` must write them exactly, also for
+# values that are odd but accepted.
+
+def _oracle_jsonify(value):
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _oracle_jsonify(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _oracle_jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_oracle_jsonify(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def _oracle_json(spec):
+    return json.dumps({
+        "version": 2,
+        "benchmark": spec.benchmark,
+        "engine": spec.engine,
+        "num_pes": spec.num_pes,
+        "quick": spec.quick,
+        "platform": spec.platform,
+        "params": {k: _oracle_jsonify(v) for k, v in spec.params},
+        "config": {k: _oracle_jsonify(v) for k, v in spec.config},
+        "faults": _oracle_jsonify(spec.faults),
+        "max_cycles": spec.max_cycles,
+        "workload": (None if spec.workload is None
+                     else json.loads(spec.workload)),
+    }, sort_keys=True, separators=(",", ":"))
+
+
+_CONFIG_NAMES = sorted(f.name for f in dataclasses.fields(AcceleratorConfig))
+
+# Non-ASCII text, quotes, backslashes and control characters all
+# take json's escapes.
+_text = st.text(max_size=6) | st.sampled_from(
+    ["", "é", "☃", "\U0001f600", 'a"b', "back\\slash", "\n\t\x00",
+     "\x7f"])
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(), _text)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8)
+
+
+_fault_specs = st.builds(
+    FaultSpec, steal_drop_rate=st.floats(0.0, 1.0),
+    arg_delay_cycles=st.integers(0, 10**6), seed=st.integers(1, 0xFFFF))
+_clock_domains = st.builds(
+    ClockDomain, st.floats(min_value=1e-3, max_value=1e4), _text)
+
+
+# What a spec may hold as a param or config value: nested lists,
+# tuples and dicts of JSON scalars and of dataclasses.
+_spec_values = st.recursive(
+    _json_scalars | _clock_domains | _fault_specs,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=8)
+
+_spec_fields = dict(
+    engine=st.sampled_from(ENGINES),
+    num_pes=st.integers(1, 1024) | st.just(True),
+    quick=st.booleans() | st.sampled_from([0, 1]),
+    platform=st.sampled_from(["accel", "zedboard"]) | _text,
+    faults=st.none() | _fault_specs,
+    max_cycles=st.none() | st.integers(1, 2**63),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(benchmark=_text,
+       params=st.dictionaries(_text, _spec_values, max_size=4),
+       config=st.dictionaries(st.sampled_from(_CONFIG_NAMES), _spec_values,
+                              max_size=3),
+       **_spec_fields)
+def test_make_spec_json_and_digest_match_the_oracle(benchmark, params,
+                                                    config, **fields):
+    spec = make_spec(benchmark, fields.pop("num_pes"), params=params,
+                     **fields, **config)
+    text = _oracle_json(spec)
+    assert spec.canonical_json() == text
+    assert spec.digest == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()[:32]
+
+
+@settings(max_examples=150, deadline=None)
+@given(benchmark=_text,
+       params=st.lists(st.tuples(_text, _spec_values), max_size=4),
+       config=st.lists(st.tuples(_text, _spec_values), max_size=3),
+       workload=st.none() | st.builds(
+           lambda value, indent, sort: json.dumps(
+               value, indent=indent, sort_keys=sort, ensure_ascii=False),
+           st.dictionaries(_text, _json_values, max_size=4),
+           st.none() | st.integers(0, 2), st.booleans()),
+       **_spec_fields)
+def test_direct_spec_json_and_digest_match_the_oracle(benchmark, params,
+                                                      config, workload,
+                                                      **fields):
+    # Built directly, a spec may hold unsorted or repeated keys and a
+    # workload string that is not in canonical form.
+    spec = JobSpec(benchmark=benchmark, params=tuple(params),
+                   config=tuple(config), workload=workload, **fields)
+    text = _oracle_json(spec)
+    assert spec.canonical_json() == text
+    assert spec.digest == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()[:32]
+
+
+def test_fig7_quick_spec_digests_are_pinned():
+    """One hash over the digests of Figure 7's 134 quick specs, in the
+    order the campaign builds them."""
+    from repro.harness.fig7 import run_fig7
+
+    class _Capture(Exception):
+        pass
+
+    class _Runner:
+        def run_checked(self, specs):
+            self.specs = list(specs)
+            raise _Capture
+
+    runner = _Runner()
+    with pytest.raises(_Capture):
+        run_fig7(quick=True, runner=runner)
+    assert len(runner.specs) == 134
+    for spec in runner.specs:
+        assert spec.canonical_json() == _oracle_json(spec)
+    joined = "\n".join(spec.digest for spec in runner.specs)
+    assert hashlib.sha256(joined.encode("ascii")).hexdigest()[:16] == \
+        "be64b16b9ba43c7b"
