@@ -45,7 +45,9 @@ not JSON, which only a hand-made entry can hold: its first read of
 ``pe_stats`` raises ``ValueError`` naming the spec digest, and
 ``repro cache repair`` moves it aside.
 
-Transient I/O errors on read count as misses; a failed store is
+A lookup and the offline sweep read an entry through one reader.
+Transient I/O errors on read, an unreadable path (a directory, say)
+among them, count as misses and are not corruption; a failed store is
 counted and dropped (the cache is an accelerator, never a correctness
 dependency).  An optional :class:`~repro.exec.chaos.ChaosPlan` hooks
 the read/write boundary to inject exactly these faults in tests.
@@ -78,6 +80,11 @@ _HEAD = b'{"checksum":"'
 _MARK = b'","record":'
 _MARK_AT = len(_HEAD) + 32     # 45: the checksum's 32 hex digits end here
 _RECORD_AT = _MARK_AT + len(_MARK)
+
+#: Bytes asked of one ``os.read`` of an entry; an entry as ``put``
+#: writes it (a few KB for a quick job) takes one read and the empty
+#: read that ends the file.
+_READ_SIZE = 1 << 16
 
 _code_salt: Optional[str] = None
 
@@ -187,19 +194,24 @@ class ResultCache:
     def _path(self, spec: JobSpec) -> Path:
         return Path(self._entry_file(spec))
 
-    # -- entry validation ----------------------------------------------
-    def _load_entry(self, path: Path) -> RunRecord:
-        """Read one entry and validate it against the spec digest it is
-        filed under (its file name).
+    # -- entry reads ---------------------------------------------------
+    def _read(self, path: str) -> bytes:
+        """The bytes of the entry at ``path``, read to end of file: the
+        one reader of :meth:`get` and :meth:`verify`.
 
-        Raises ``FileNotFoundError`` on a plain miss, ``OSError`` on a
-        transient read failure, and :class:`CorruptEntryError` when the
-        bytes are there but wrong (truncation, bit flip, foreign
-        record).
+        Raises ``FileNotFoundError`` on a plain miss and ``OSError`` on
+        a transient read failure (a directory at the path is one).
         """
         if self.chaos is not None:
-            self.chaos.cache_read(str(path))
-        return _check_entry(path.read_bytes(), path.name, path.stem)
+            self.chaos.cache_read(path)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_SIZE):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return b"".join(chunks)
 
     def quarantine(self, path: Path) -> Optional[Path]:
         """Move a corrupt entry under ``quarantine/`` (best effort)."""
@@ -222,10 +234,7 @@ class ResultCache:
         """
         path = self._entry_file(spec)
         try:
-            if self.chaos is not None:
-                self.chaos.cache_read(path)
-            with open(path, "rb") as handle:
-                data = handle.read()
+            data = self._read(path)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -304,7 +313,7 @@ class ResultCache:
         corrupt: List[Tuple[Path, str]] = []
         for path in self.entry_paths():
             try:
-                self._load_entry(path)
+                _check_entry(self._read(str(path)), path.name, path.stem)
             except CorruptEntryError as exc:
                 corrupt.append((path, str(exc)))
             except OSError as exc:

@@ -89,6 +89,9 @@ JOBS_ENV = "REPRO_JOBS"
 #: in-process.
 MAX_POOL_RESTARTS = 2
 
+#: Seconds between a pool worker's checks that its campaign is alive.
+_PARENT_POLL_SECONDS = 0.5
+
 Outcome = Union[RunRecord, JobFailure]
 #: ``(done, total, spec, outcome, source)``; ``source`` is
 #: ``"simulated"``, ``"cache"`` or ``"resumed"``.
@@ -170,6 +173,26 @@ def _run_job(spec: JobSpec, timeout: Optional[float]) -> Outcome:
         return JobFailure.from_exception(spec.digest, spec.label, exc)
 
 
+def _init_pool_worker(parent: int) -> None:
+    """Pool initializer: freeze the heap the worker inherits (see
+    :func:`_worker`), and exit once the campaign process ``parent`` is
+    gone.
+
+    Without the watch, a worker whose campaign is SIGKILLed waits on the
+    pool's call queue forever: it and its siblings hold both ends of the
+    pool's pipes, inherited over ``fork``, so no read sees end-of-file.
+    """
+    gc.freeze()
+    threading.Thread(target=_exit_with_parent, args=(parent,),
+                     name="repro-parent-watch", daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
 def _worker(spec: JobSpec, timeout: Optional[float],
             submitted_at: Optional[float] = None,
             profile_path: Optional[str] = None,
@@ -221,11 +244,13 @@ class StderrProgress:
     The rate (jobs/sec) is measured from the first completion of the
     current batch (state resets whenever ``done == 1``, so one shared
     instance serves many sequential batches).  Before the batch has
-    produced two data points of its own, the ETA falls back to the run
-    ledger's historical mean job time (``ledger.estimate_seconds()``) —
-    a mean over *final* attempts only (the ledger marks retried
-    attempts, and the estimator excludes them), so a flaky stretch of
-    history does not skew the forecast.
+    produced two data points of its own, the ETA of a simulated
+    completion falls back to the run ledger's historical mean job time
+    (``ledger.estimate_seconds()``) — a mean over *final* attempts only
+    (the ledger marks retried attempts, and the estimator excludes
+    them), so a flaky stretch of history does not skew the forecast.
+    A first completion served by the cache or a manifest prints no
+    pace: it took no simulation, so the mean says nothing of it.
 
     The runner notifies retries and quarantines through
     :meth:`note_retry` / :meth:`note_quarantine`; nonzero counts are
@@ -251,15 +276,15 @@ class StderrProgress:
         """Corrupt cache entries were quarantined (called by the runner)."""
         self._quarantined += count
 
-    def _pace(self, done: int, total: int,
-              now: float) -> str:
+    def _pace(self, done: int, total: int, now: float,
+              source: str) -> str:
         """`` (r.r jobs/s, eta Ns)`` suffix, or ``""`` if unknowable."""
         rate = None
         if self._t0 is not None and done > self._n0:
             elapsed = now - self._t0
             if elapsed > 0:
                 rate = (done - self._n0) / elapsed
-        if rate is None and self._hint:
+        if rate is None and self._hint and source == "simulated":
             rate = 1.0 / self._hint
         if not rate or done >= total:
             return ""
@@ -289,7 +314,7 @@ class StderrProgress:
         tag = (source if source != "simulated"
                else "ok" if outcome.ok else "FAIL")
         line = f"[{done}/{total}] {spec.label}: {tag}"
-        line += self._pace(done, total, now)
+        line += self._pace(done, total, now, source)
         line += self._health()
         if sys.stderr.isatty():
             end = "\n" if done == total else ""
@@ -616,7 +641,8 @@ class JobRunner:
         """
         with ProcessPoolExecutor(max_workers=self.jobs,
                                  mp_context=self._mp_context(),
-                                 initializer=gc.freeze) as pool:
+                                 initializer=_init_pool_worker,
+                                 initargs=(os.getpid(),)) as pool:
             submitted_at = time.perf_counter()
             futures = {}
             for spec in specs:

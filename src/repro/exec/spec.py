@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.exceptions import ConfigError
@@ -78,6 +79,35 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, built
+#: once: the canonical form's encoding of every value.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _json_value(value: Any) -> str:
+    """:data:`_ENCODER`'s text for ``value``, spelled out for the
+    scalars a spec's fields hold."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    return _ENCODER.encode(value)
+
+
+def _json_object(items: Tuple[Tuple[str, Any], ...]) -> str:
+    """:data:`_ENCODER`'s text for ``{k: _jsonify(v) for k, v in items}``."""
+    if not items:
+        return "{}"
+    return _ENCODER.encode({k: _jsonify(v) for k, v in items})
 
 
 @functools.cache
@@ -155,27 +185,34 @@ class JobSpec:
         """Parsed workload spec, or ``None`` for closed runs."""
         return None if self.workload is None else json.loads(self.workload)
 
-    def canonical_dict(self) -> Dict[str, Any]:
-        """JSON-safe dict with a deterministic shape (digest input)."""
-        return {
-            "version": SPEC_VERSION,
-            "benchmark": self.benchmark,
-            "engine": self.engine,
-            "num_pes": self.num_pes,
-            "quick": self.quick,
-            "platform": self.platform,
-            "params": {k: _jsonify(v) for k, v in self.params},
-            "config": {k: _jsonify(v) for k, v in self.config},
-            "faults": _jsonify(self.faults),
-            "max_cycles": self.max_cycles,
-            "workload": self.workload_dict,
-        }
-
     def canonical_json(self) -> str:
-        """Compact, key-sorted JSON — the digest preimage."""
+        """Compact, key-sorted JSON — the digest preimage.
+
+        The ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+        text of ``{"version", "benchmark", "engine", "num_pes", "quick",
+        "platform", "params", "config", "faults", "max_cycles",
+        "workload"}``: the fields as they are, ``params``, ``config``
+        and ``faults`` through :func:`_jsonify`, and ``workload``
+        parsed.  The fixed keys are written in sorted order here and
+        only the values are encoded.
+        """
         if self._json is None:
-            value = json.dumps(self.canonical_dict(), sort_keys=True,
-                               separators=(",", ":"))
+            faults = ("null" if self.faults is None
+                      else _ENCODER.encode(_jsonify(self.faults)))
+            workload = ("null" if self.workload is None
+                        else _ENCODER.encode(self.workload_dict))
+            value = (
+                f'{{"benchmark":{_json_value(self.benchmark)}'
+                f',"config":{_json_object(self.config)}'
+                f',"engine":{_json_value(self.engine)}'
+                f',"faults":{faults}'
+                f',"max_cycles":{_json_value(self.max_cycles)}'
+                f',"num_pes":{_json_value(self.num_pes)}'
+                f',"params":{_json_object(self.params)}'
+                f',"platform":{_json_value(self.platform)}'
+                f',"quick":{_json_value(self.quick)}'
+                f',"version":{SPEC_VERSION}'
+                f',"workload":{workload}}}')
             object.__setattr__(self, "_json", value)
         return self._json
 

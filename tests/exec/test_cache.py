@@ -69,7 +69,7 @@ def test_wrong_digest_inside_entry_is_a_miss(tmp_path):
     # File named for b but holding a's record: content check rejects it.
     (tmp_path / code_salt()).mkdir(parents=True)
     cache._path(b).write_text(json.dumps({
-        "salt": code_salt(), "spec": a.canonical_dict(),
+        "salt": code_salt(), "spec": json.loads(a.canonical_json()),
         "record": record.to_dict(),
     }))
     assert cache.get(b) is None
@@ -152,7 +152,8 @@ def test_entry_is_compact_sorted_json_checksummed_by_the_record_digest(
     assert data == json.dumps(payload, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
     assert payload["checksum"] == record.digest
-    assert payload == {"salt": code_salt(), "spec": spec.canonical_dict(),
+    assert payload == {"salt": code_salt(),
+                       "spec": json.loads(spec.canonical_json()),
                        "record": record.to_dict(), "checksum": record.digest}
 
 
@@ -227,7 +228,7 @@ def test_foreign_record_in_the_put_layout_is_quarantined(tmp_path):
     path = cache._path(b)
     path.parent.mkdir(parents=True)
     path.write_text(json.dumps({
-        "salt": code_salt(), "spec": b.canonical_dict(),
+        "salt": code_salt(), "spec": json.loads(b.canonical_json()),
         "record": record.to_dict(), "checksum": record.digest,
     }, sort_keys=True, separators=(",", ":")))
     assert cache.get(b) is None
@@ -243,7 +244,7 @@ def test_indented_entry_under_the_current_salt_is_served(tmp_path):
     path = cache._path(spec)
     path.parent.mkdir(parents=True)
     path.write_text(json.dumps({
-        "salt": code_salt(), "spec": spec.canonical_dict(),
+        "salt": code_salt(), "spec": json.loads(spec.canonical_json()),
         "record": record.to_dict(),
         "checksum": record_checksum(record.to_dict()),
     }, sort_keys=True, indent=1))

@@ -105,6 +105,21 @@ def test_ledger_hint_seeds_first_eta(capsys, clock):
     assert int(match.group(2)) == 2     # 4 remaining / 2 jobs/s
 
 
+@pytest.mark.parametrize("source", ["cache", "resumed"])
+def test_ledger_hint_is_not_the_pace_of_a_hit(capsys, clock, source):
+    """The ledger's mean is a simulated job's time: a batch whose first
+    completion simulated nothing prints no rate or ETA from it."""
+    progress = StderrProgress(ledger=_StubLedger(0.5))
+    spec = make_spec("fib", 1, quick=True)
+    progress(1, 5, spec, _record(spec), source)
+    clock.advance(0.25)
+    progress(2, 5, spec, _record(spec), "simulated")
+    first, second = _lines(capsys)
+    assert first == f"[1/5] fib-flex1: {source}"
+    match = re.search(r"\((\d+\.\d) jobs/s, eta (\d+)s\)", second)
+    assert match and float(match.group(1)) == 4.0, second
+
+
 def test_ledger_failure_is_not_fatal(capsys, clock):
     progress = StderrProgress(ledger=_StubLedger(OSError("disk gone")))
     spec = make_spec("fib", 1, quick=True)

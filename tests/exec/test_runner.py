@@ -1,5 +1,8 @@
 """JobRunner batching: dedup, failure capture, progress, timeouts."""
 
+import os
+import signal
+
 import pytest
 
 from repro.core.exceptions import ConfigError
@@ -353,3 +356,71 @@ def test_quarantine_counted_by_runner(tmp_path):
     assert outcome.ok, "corrupt entry must re-simulate, not fail"
     assert runner.stats.quarantined == 1
     assert runner.stats.executed == 1 and runner.stats.cached == 0
+
+
+# A campaign whose pool is running, held in its progress hook: it
+# prints its pool workers' pids at the first completion and waits.
+_HELD_CAMPAIGN = """
+import multiprocessing, time
+from repro.exec import JobRunner, make_spec
+
+def hold(done, total, spec, outcome, source):
+    pids = sorted(p.pid for p in multiprocessing.active_children())
+    print(*pids, flush=True)
+    time.sleep(300)
+
+JobRunner(jobs=2, progress=hold).run(
+    [make_spec("fib", n, quick=True) for n in (1, 2, 3, 4)])
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: a zombie counts as gone, since nothing may
+    reap an orphan's exit (PID 1 in a container need not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_pool_workers_exit_when_the_campaign_is_killed():
+    """SIGKILLing a campaign's main process leaves no pool worker
+    running."""
+    import select
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", _HELD_CAMPAIGN],
+                            env=env, stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 120)
+        assert ready, "the campaign never completed a job"
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(workers) == 2 and all(map(_alive, workers))
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)], \
+            "pool workers outlived their campaign"
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
