@@ -45,12 +45,13 @@ not JSON, which only a hand-made entry can hold: its first read of
 ``pe_stats`` raises ``ValueError`` naming the spec digest, and
 ``repro cache repair`` moves it aside.
 
-A lookup and the offline sweep read an entry through one reader.
-Transient I/O errors on read, an unreadable path (a directory, say)
-among them, count as misses and are not corruption; a failed store is
-counted and dropped (the cache is an accelerator, never a correctness
-dependency).  An optional :class:`~repro.exec.chaos.ChaosPlan` hooks
-the read/write boundary to inject exactly these faults in tests.
+A lookup and the offline sweep read an entry through one reader.  A
+lookup counts a transient I/O error on read, an unreadable path (a
+directory, say) among them, as a miss, not as corruption; a failed
+store is counted and dropped (the cache is an accelerator, never a
+correctness dependency).  An optional
+:class:`~repro.exec.chaos.ChaosPlan` hooks the read/write boundary to
+inject exactly these faults in tests.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ _HEAD = b'{"checksum":"'
 _MARK = b'","record":'
 _MARK_AT = len(_HEAD) + 32     # 45: the checksum's 32 hex digits end here
 _RECORD_AT = _MARK_AT + len(_MARK)
-
-#: Bytes asked of one ``os.read`` of an entry; an entry as ``put``
-#: writes it (a few KB for a quick job) takes one read and the empty
-#: read that ends the file.
-_READ_SIZE = 1 << 16
 
 _code_salt: Optional[str] = None
 
@@ -206,9 +202,18 @@ class ResultCache:
             self.chaos.cache_read(path)
         fd = os.open(path, os.O_RDONLY)
         try:
+            # Each read asks for what fstat says is left plus one byte,
+            # as io.FileIO.readall sizes its buffer, so an entry takes
+            # one read and the empty read that ends the file.  A fixed
+            # read size would split a large entry into many reads and a
+            # join, and would leave each buffer's unused tail free on
+            # the heap for the records a batch keeps to fragment.
+            ask = os.fstat(fd).st_size + 1
             chunks = []
-            while chunk := os.read(fd, _READ_SIZE):
+            while chunk := os.read(fd, ask):
                 chunks.append(chunk)
+                # Twice as much if the file has grown since the fstat.
+                ask = ask - len(chunk) if len(chunk) < ask else 2 * ask
         finally:
             os.close(fd)
         return b"".join(chunks)

@@ -254,9 +254,12 @@ def test_indented_entry_under_the_current_salt_is_served(tmp_path):
     assert cache.hits == 1 and cache.quarantined == 0
 
 
-def test_entry_larger_than_one_read_round_trips(tmp_path):
-    """An entry of a few hundred KB, many reads long, is served whole
-    by get() and passes the offline check."""
+@pytest.mark.parametrize("reads", ["as_sized", "short", "grown"])
+def test_entry_larger_than_one_read_round_trips(tmp_path, monkeypatch,
+                                                reads):
+    """An entry of a few hundred KB is served whole by get() and passes
+    the offline check, also when it takes many reads: reads that return
+    less than asked, or a file longer than its fstat said."""
     cache = ResultCache(tmp_path)
     spec = make_spec("fib", 2, quick=True)
     record = dataclasses.replace(execute(spec), jobs=[
@@ -265,10 +268,28 @@ def test_entry_larger_than_one_read_round_trips(tmp_path):
          "latency": 2 * i + 7} for i in range(4000)])
     path = cache.put(spec, record)
     assert path.stat().st_size > 256 * 1024
+    sizes = []
+    read, fstat = os.read, os.fstat
+
+    def counted_read(fd, n):
+        data = read(fd, min(n, 4096) if reads == "short" else n)
+        sizes.append(len(data))
+        return data
+
+    class _Understated:
+        def __init__(self, fd):
+            self.st_size = fstat(fd).st_size // 100
+
+    monkeypatch.setattr(os, "read", counted_read)
+    if reads == "grown":
+        monkeypatch.setattr(os, "fstat", _Understated)
     served = cache.get(spec)
     assert served == record and served.digest == record.digest
     assert cache.hits == 1 and cache.quarantined == 0
     assert cache.verify() == (1, [])
+    monkeypatch.undo()
+    assert sum(sizes) == 2 * path.stat().st_size and sizes[-1] == 0
+    assert (len(sizes) == 4) == (reads == "as_sized")
 
 
 def test_directory_at_an_entry_path_is_an_io_miss(tmp_path):
