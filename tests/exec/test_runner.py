@@ -419,7 +419,7 @@ def test_pool_workers_exit_when_the_campaign_is_killed():
         proc.kill()
         proc.wait(timeout=10)
         proc.stdout.close()
-        for pid in workers:
+        for pid in filter(_alive, workers):
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
