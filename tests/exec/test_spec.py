@@ -209,13 +209,15 @@ _spec_values = st.recursive(
     | st.dictionaries(_text, inner, max_size=3),
     max_leaves=8)
 
+# Floats, infinities and NaN pass the field checks too.
 _spec_fields = dict(
     engine=st.sampled_from(ENGINES),
-    num_pes=st.integers(1, 1024) | st.just(True),
+    num_pes=st.integers(1, 1024) | st.just(True) | st.floats(1.0, 1e6),
     quick=st.booleans() | st.sampled_from([0, 1]),
     platform=st.sampled_from(["accel", "zedboard"]) | _text,
     faults=st.none() | _fault_specs,
-    max_cycles=st.none() | st.integers(1, 2**63),
+    max_cycles=st.none() | st.integers(1, 2**63)
+    | st.floats(min_value=1.0) | st.just(float("nan")),
 )
 
 
