@@ -58,14 +58,12 @@ job, and the run ledger records every completion unless ``--no-ledger``
 (or ``--no-cache``) is given.
 
 Robustness options (docs/EXECUTION.md, "Failure handling & recovery"):
-``--retries N`` retries transient failures (timeouts with a raised
-deadline, worker crashes on a fresh pool) up to N extra attempts with
-deterministic backoff; ``--resume`` checkpoints every completion to a
-campaign manifest under ``<cache-dir>/manifests`` and skips jobs the
-manifest already holds — surviving SIGKILL even with ``--no-cache``;
-``--chaos SEED`` arms the deterministic host-fault injection harness
-(worker kills, cache corruption, transient I/O errors) for soak
-testing the above.
+``--resume`` checkpoints every completion to a campaign manifest under
+``<cache-dir>/manifests`` and skips jobs the manifest already holds —
+surviving SIGKILL even with ``--no-cache``; ``--chaos SEED`` arms the
+deterministic host-fault injection harness (worker kills, cache
+corruption, transient I/O errors) for soak testing it, the pool
+supervision and the cache's self-healing.
 """
 
 from __future__ import annotations
@@ -124,16 +122,14 @@ def _make_runner(args):
     for an export, and ``--profile`` points the runner at
     ``<cache-root>/profiles`` for per-job cProfile captures.
 
-    Robustness wiring (docs/EXECUTION.md): ``--retries N`` (default 0)
-    builds the :class:`~repro.exec.RetryPolicy` with N+1 total attempts;
-    ``--resume`` points the runner at ``<cache-root>/manifests`` for
-    campaign checkpoints (the manifest dir uses the cache *root* even
-    under ``--no-cache`` — resuming without a cache is the point);
-    ``--chaos SEED`` threads one seeded
-    :class:`~repro.exec.ChaosPlan` through the runner, the cache, and
-    the ledger.
+    Robustness wiring (docs/EXECUTION.md): ``--resume`` points the
+    runner at ``<cache-root>/manifests`` for campaign checkpoints (the
+    manifest dir uses the cache *root* even under ``--no-cache`` —
+    resuming without a cache is the point); ``--chaos SEED`` threads
+    one seeded :class:`~repro.exec.ChaosPlan` through the runner, the
+    cache, and the ledger.
     """
-    from repro.exec import JobRunner, ResultCache, RetryPolicy, StderrProgress
+    from repro.exec import JobRunner, ResultCache, StderrProgress
     from repro.exec.cache import default_cache_dir
 
     cache_root = args.cache_dir or default_cache_dir()
@@ -167,9 +163,7 @@ def _make_runner(args):
     return JobRunner(jobs=args.jobs, cache=cache,
                      progress=StderrProgress(ledger=ledger),
                      metrics=metrics, ledger=ledger,
-                     profile_dir=profile_dir,
-                     retry=RetryPolicy(max_attempts=args.retries + 1),
-                     chaos=chaos,
+                     profile_dir=profile_dir, chaos=chaos,
                      manifest_dir=manifest_dir)
 
 
@@ -205,8 +199,6 @@ def _finish_experiment(args, runner, results) -> int:
             line += f", {stats.resumed} resumed"
         if stats.failed:
             line += f", {stats.failed} failed"
-        if stats.retried:
-            line += f", {stats.retried} retried"
         if stats.quarantined:
             line += f", {stats.quarantined} quarantined"
         if stats.pool_restarts:
@@ -613,11 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-ledger", action="store_true",
                        help="do not append completions to the run "
                        "ledger (<cache-dir>/ledger/runs.jsonl)")
-        p.add_argument("--retries", type=_non_negative_int, default=0,
-                       metavar="N",
-                       help="retry a job's transient failures "
-                       "(timeouts, crashes) up to N extra attempts with "
-                       "deterministic backoff (default 0: never retry)")
         p.add_argument("--resume", action="store_true",
                        help="checkpoint completions to a campaign "
                        "manifest (<cache-dir>/manifests) and skip "

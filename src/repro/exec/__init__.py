@@ -9,20 +9,19 @@ here as three pieces:
   outcome, with a canonical JSON form and a stable content digest.
 * **Parallel runner** (:mod:`repro.exec.runner`): :class:`JobRunner`
   executes batches of specs serially (the default) or across worker
-  processes, bit-identically, with per-job timeouts, structured
-  failure capture, and progress reporting.
+  processes, bit-identically, with structured failure capture and
+  progress reporting.
 * **Result cache** (:mod:`repro.exec.cache`): a content-addressed
   on-disk store of :class:`RunRecord` outcomes keyed by spec digest and
   a code-version salt, so overlapping sweeps reuse points and
   interrupted campaigns resume for free.
 
 Campaigns on a fallible host get a fourth piece — **robustness**
-(:mod:`repro.exec.robust`, :mod:`repro.exec.chaos`): a
-:class:`RetryPolicy` re-runs transient failures with deterministic
-backoff, the cache self-heals corrupt entries into quarantine, a
-:class:`CampaignManifest` checkpoints completed jobs so ``--resume``
-survives a SIGKILL, and a seeded :class:`ChaosPlan` injects host
-faults to prove all of it under test.
+(:mod:`repro.exec.robust`, :mod:`repro.exec.chaos`): the runner
+rebuilds broken worker pools, the cache self-heals corrupt entries
+into quarantine, a :class:`CampaignManifest` checkpoints completed
+jobs so ``--resume`` survives a SIGKILL, and a seeded
+:class:`ChaosPlan` injects host faults to prove all of it under test.
 
 Every experiment producer in the repo (``repro.harness.*``,
 ``repro.resil.campaign``) emits spec lists and consumes records through
@@ -54,7 +53,6 @@ from repro.exec.record import (
 )
 from repro.exec.robust import (
     CampaignManifest,
-    RetryPolicy,
     campaign_id,
     default_manifest_dir,
     unit_roll,
@@ -81,7 +79,6 @@ __all__ = [
     "JobSpec",
     "QUICK_PARAMS",
     "ResultCache",
-    "RetryPolicy",
     "RunRecord",
     "RunnerStats",
     "StderrProgress",

@@ -307,34 +307,49 @@ class ResultCache:
             return []
         return sorted(paths)
 
+    def _sweep(self) -> Tuple[int, List[Tuple[Path, Exception]]]:
+        """Check every entry: ``(valid_count, [(path, error), ...])``,
+        each error the :class:`CorruptEntryError` or ``OSError`` that
+        entry's check or read raised."""
+        valid = 0
+        failed: List[Tuple[Path, Exception]] = []
+        for path in self.entry_paths():
+            try:
+                _check_entry(self._read(str(path)), path.name, path.stem)
+            except (CorruptEntryError, OSError) as exc:
+                failed.append((path, exc))
+            else:
+                valid += 1
+        return valid, failed
+
     def verify(self) -> Tuple[int, List[Tuple[Path, str]]]:
         """Validate every entry: ``(valid_count, [(path, reason), ...])``.
 
         An entry must parse, match its stored checksum, and hold a
-        record for the spec digest it is filed under (the filename).
+        record for the spec digest it is filed under (the filename); an
+        entry that cannot be read is listed as ``unreadable``.
         Read-only — see :meth:`repair` for the sweep that quarantines.
         """
-        valid = 0
-        corrupt: List[Tuple[Path, str]] = []
-        for path in self.entry_paths():
-            try:
-                _check_entry(self._read(str(path)), path.name, path.stem)
-            except CorruptEntryError as exc:
-                corrupt.append((path, str(exc)))
-            except OSError as exc:
-                corrupt.append((path, f"unreadable: {exc}"))
-            else:
-                valid += 1
-        return valid, corrupt
+        valid, failed = self._sweep()
+        return valid, [
+            (path, str(exc) if isinstance(exc, CorruptEntryError)
+             else f"unreadable: {exc}")
+            for path, exc in failed]
 
     def repair(self) -> Tuple[int, List[Path]]:
-        """Quarantine every corrupt entry: ``(valid_count, moved)``."""
-        valid, corrupt = self.verify()
+        """Quarantine every corrupt entry: ``(valid_count, moved)``.
+
+        An entry whose read raises ``OSError`` stays where it is, as
+        :meth:`get` leaves it: the error may be transient, and the entry
+        valid.  :meth:`verify` still lists it.
+        """
+        valid, failed = self._sweep()
         moved: List[Path] = []
-        for path, _reason in corrupt:
-            target = self.quarantine(path)
-            if target is not None:
-                moved.append(target)
+        for path, exc in failed:
+            if isinstance(exc, CorruptEntryError):
+                target = self.quarantine(path)
+                if target is not None:
+                    moved.append(target)
         return valid, moved
 
     def __repr__(self) -> str:

@@ -21,9 +21,9 @@ via :func:`~repro.exec.robust.unit_roll` — no host entropy — so a
 chaos run is replayable.  The contract the soak suite
 (``tests/exec/test_chaos.py``) enforces: a chaos run **completes** and
 its records are **bit-identical** to a fault-free serial reference,
-because every injected host fault is either retried, quarantined, or
-degraded around, and the simulation itself is a pure function of the
-spec.
+because every injected host fault is either resubmitted, quarantined,
+or degraded around, and the simulation itself is a pure function of
+the spec.
 
 Worker kills only apply to real pool workers; the runner's in-process
 rounds (``jobs=1``, and the degraded fallback after repeated pool loss)
@@ -66,7 +66,7 @@ class ChaosPlan:
     ``sleep`` is injectable so tests can fake slow I/O without real
     wall-clock cost.  Occurrence counters make transient errors
     *transient*: the second read of the same path draws a fresh
-    decision, so a retry can succeed.
+    decision, so a later read can succeed.
     """
 
     seed: int = 0

@@ -235,7 +235,14 @@ def simulate(spec: JobSpec, *, telemetry: bool = False) -> RunResult:
 
     ``telemetry`` attaches an in-memory event sink to the run; it is a
     run-time concern, not part of the spec, and never changes timing.
+    Only flex and zynq inject a spec's ``faults``; any other engine
+    raises ``ConfigError`` for a faulted spec rather than simulate it
+    fault-free and return a record for a run its spec does not name.
     """
+    if spec.faults is not None and spec.engine not in ("flex", "zynq"):
+        raise ConfigError(
+            f"the {spec.engine} engine cannot inject faults; a spec "
+            "with faults runs on flex or zynq")
     if spec.engine == "flex":
         return _simulate_flex(spec, telemetry)
     if spec.engine == "lite":

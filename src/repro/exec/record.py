@@ -291,13 +291,12 @@ class _RowsOnFirstRead:
 RunRecord.pe_stats = _RowsOnFirstRead()
 
 
-#: Failure classes a :class:`JobFailure` may carry.  ``timeout`` = the
-#: per-job deadline fired (host-imposed; the job might finish with more
-#: time), ``crash`` = the pool raised instead of returning the worker's
-#: outcome (host-caused; a pool broken by a worker's death resubmits
-#: its jobs instead), ``sim-error`` = the simulation itself raised — a
-#: deterministic outcome of the spec that re-running cannot change.
-FAILURE_KINDS = ("timeout", "crash", "sim-error")
+#: Failure classes a :class:`JobFailure` may carry.  ``crash`` = the
+#: pool raised instead of returning the worker's outcome (host-caused;
+#: a pool broken by a worker's death resubmits its jobs instead),
+#: ``sim-error`` = the simulation itself raised — a deterministic
+#: outcome of the spec that re-running cannot change.
+FAILURE_KINDS = ("crash", "sim-error")
 
 
 @dataclass
@@ -312,10 +311,8 @@ class JobFailure:
     #: (DeadlockError, PStoreFullError...), i.e. an *expected* failure
     #: mode rather than a harness bug.
     parallelxl: bool = False
-    #: True when the job was killed by the per-job timeout.
-    timed_out: bool = False
-    #: Failure class (one of :data:`FAILURE_KINDS`) — what retry rules
-    #: and campaign classification dispatch on, instead of
+    #: Failure class (one of :data:`FAILURE_KINDS`) — what campaign
+    #: classification and ``--resume`` dispatch on, instead of
     #: string-matching exception text.
     kind: str = "sim-error"
 
@@ -327,27 +324,21 @@ class JobFailure:
     @classmethod
     def from_exception(cls, spec_digest: str, label: str,
                        exc: BaseException,
-                       timed_out: bool = False,
-                       kind: Optional[str] = None) -> "JobFailure":
-        """Build a failure; ``kind`` defaults from how the error arose.
+                       kind: str = "sim-error") -> "JobFailure":
+        """Build a failure from the exception that ended the job.
 
-        ``timed_out=True`` means the deadline fired (``timeout``); an
-        explicit ``kind="crash"`` is passed by the pool-side handler
-        when the pool raised instead of returning an outcome; everything
-        a worker caught *inside* the simulation is a deterministic
-        ``sim-error``.
+        The pool-side handler passes ``kind="crash"`` when the pool
+        raised instead of returning an outcome; everything a worker
+        caught *inside* the simulation is a deterministic ``sim-error``.
         """
         from repro.core.exceptions import ParallelXLError
 
-        if kind is None:
-            kind = "timeout" if timed_out else "sim-error"
         return cls(
             spec_digest=spec_digest,
             label=label,
             error_type=type(exc).__name__,
             message=str(exc),
             parallelxl=isinstance(exc, ParallelXLError),
-            timed_out=timed_out,
             kind=kind,
         )
 
@@ -359,7 +350,6 @@ class JobFailure:
             "error_type": self.error_type,
             "message": self.message,
             "parallelxl": self.parallelxl,
-            "timed_out": self.timed_out,
             "kind": self.kind,
         }
 
@@ -371,7 +361,6 @@ class JobFailure:
             error_type=payload["error_type"],
             message=payload["message"],
             parallelxl=bool(payload.get("parallelxl", False)),
-            timed_out=bool(payload.get("timed_out", False)),
             kind=payload.get("kind", "sim-error"),
         )
 

@@ -1,23 +1,14 @@
-"""Host-side robustness: retry policy and campaign checkpointing.
+"""Host-side robustness: campaign checkpointing.
 
 The simulator itself is deterministic, but the *host* running a
 campaign is not: workers get OOM-killed, pools break, cache files get
 truncated by a crashed writer, and a multi-hour sweep dies to a SIGKILL
-three jobs from the end.  This module gives :class:`~repro.exec.runner.
-JobRunner` the two pieces that make campaigns dependable
-(docs/EXECUTION.md, "Failure handling & recovery"):
+three jobs from the end.  The runner rebuilds broken pools and the
+cache quarantines damaged entries; this module gives
+:class:`~repro.exec.runner.JobRunner` the piece that makes a killed
+campaign resumable (docs/EXECUTION.md, "Failure handling &
+recovery"):
 
-* :class:`RetryPolicy` — bounded re-attempts with exponential backoff
-  and *deterministic jitter* (a pure function of ``(spec digest,
-  attempt)``, so two hosts replaying the same campaign back off
-  identically).  Classification is by :attr:`~repro.exec.record.
-  JobFailure.kind`: the :data:`TRANSIENT_KINDS` are retried — timeouts
-  with a raised deadline, crashes on a fresh pool — and deterministic
-  simulator exceptions (``sim-error``) never are: re-running a pure
-  function on the same input cannot change the answer.  The policy's
-  only settings are the attempt budget (``--retries``) and the sleep
-  function (a fake clock in tests); the backoff, jitter and deadline
-  scale are the module constants below.
 * :class:`CampaignManifest` — an append-only JSONL checkpoint of one
   batch's completed outcomes, keyed by a campaign id derived from the
   batch's spec digests and the code salt.  ``repro <cmd> --resume``
@@ -29,20 +20,19 @@ JobRunner` the two pieces that make campaigns dependable
   checksum (the record digest), as a result-cache entry does, so a
   damaged line that still parses re-simulates instead of being served.
 
-A :class:`~repro.exec.runner.JobRunner` given no ``retry`` policy runs
-under ``RetryPolicy(max_attempts=1)``: its pools are still supervised,
-but no job's own failure is re-run.  Checkpointing happens only when
-the runner is given a ``manifest_dir``.
+A job's failure is final within its batch.  The manifest does not
+serve a ``crash`` back, so the next ``--resume`` run simulates that job
+again.  Checkpointing happens only when the runner is given a
+``manifest_dir``.  :func:`unit_roll` is the deterministic draw the
+chaos plan's decisions are made from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Union
 
 from repro.exec.record import JobFailure, RunRecord, record_checksum
 
@@ -53,70 +43,18 @@ MANIFEST_DIRNAME = "manifests"
 #: v2: a record's line carries its ``checksum``.
 MANIFEST_VERSION = 2
 
-#: Failure kinds a retry policy re-runs (host-caused).
-TRANSIENT_KINDS = ("timeout", "crash")
-
-#: Backoff before a job's first retry, in seconds; each further retry
-#: waits ``BACKOFF_FACTOR`` times longer.
-BACKOFF_SECONDS = 0.05
-BACKOFF_FACTOR = 2.0
-
-#: Each backoff is scaled by a deterministic factor in
-#: ``[1 - JITTER, 1 + JITTER)``.
-JITTER = 0.25
-
-#: Each timeout retry's deadline is this many times the last one's.
-TIMEOUT_SCALE = 2.0
-
 
 def unit_roll(*parts: object) -> float:
     """Deterministic uniform draw in ``[0, 1)`` from hashed parts.
 
-    Shared by the retry jitter and the chaos plan: decisions are pure
-    functions of their inputs, never of host entropy, so a replayed
-    campaign makes identical choices.
+    The chaos plan's decisions are pure functions of their inputs,
+    never of host entropy, so a replayed campaign makes identical
+    choices.
     """
     digest = hashlib.sha256(
         "|".join(str(p) for p in parts).encode("utf-8")
     ).digest()
     return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
-@dataclass
-class RetryPolicy:
-    """Bounded, failure-class-aware retry rules for one runner.
-
-    ``max_attempts`` counts *total* attempts per job (1 = never retry);
-    only a failure of one of the :data:`TRANSIENT_KINDS` is retried.
-    The backoff before attempt ``k``'s retry is
-    ``BACKOFF_SECONDS * BACKOFF_FACTOR**k``, scaled by a deterministic
-    jitter factor in ``[1 - JITTER, 1 + JITTER)`` drawn from
-    ``(digest, attempt)``.  Each timeout retry's deadline is
-    ``TIMEOUT_SCALE`` times the last, so a job that was genuinely slow
-    (not hung) gets room to finish.  ``sleep`` is injectable so tests
-    run with a fake clock.
-    """
-
-    max_attempts: int = 3
-    sleep: Callable[[float], None] = time.sleep
-
-    def should_retry(self, failure: JobFailure, attempt: int) -> bool:
-        """Whether attempt index ``attempt`` (0-based) gets a retry."""
-        return (attempt + 1 < self.max_attempts
-                and failure.kind in TRANSIENT_KINDS)
-
-    def delay(self, digest: str, attempt: int) -> float:
-        """Backoff before re-running ``digest`` after attempt ``attempt``."""
-        roll = unit_roll(0, "retry-jitter", digest, attempt)
-        return (BACKOFF_SECONDS * BACKOFF_FACTOR ** attempt
-                * (1.0 - JITTER + 2.0 * JITTER * roll))
-
-    def timeout_for(self, base: Optional[float],
-                    attempt: int) -> Optional[float]:
-        """Per-job deadline for attempt ``attempt`` (raised on retries)."""
-        if base is None or attempt == 0:
-            return base
-        return base * TIMEOUT_SCALE ** attempt
 
 
 # ----------------------------------------------------------------------
@@ -153,11 +91,11 @@ class CampaignManifest:
     One file per campaign id under the manifest directory.  Every
     completed outcome (simulated, cached, or failed) is appended as a
     self-contained line; on load, successful records and *deterministic*
-    failures (``kind == "sim-error"``) count as completed — transient
-    timeouts and crashes are re-run on resume, since a healthier host
-    may well succeed.  A record counts only if it still hashes to the
-    checksum its line carries and names the spec digest it is filed
-    under.
+    failures (``kind == "sim-error"``) count as completed — a crash is
+    re-run on resume, since it came from the host, not the spec, and a
+    healthier host may well succeed.  A record counts only if it still
+    hashes to the checksum its line carries and names the spec digest
+    it is filed under.
     """
 
     def __init__(self, root: Union[str, Path],
@@ -219,7 +157,7 @@ class CampaignManifest:
                 else:
                     outcome = JobFailure.from_dict(entry["failure"])
                     if outcome.kind != "sim-error":
-                        continue    # transient: worth re-running
+                        continue    # a crash: worth re-running
             except (KeyError, TypeError, ValueError):
                 continue
             if outcome.spec_digest == digest:

@@ -1,9 +1,10 @@
-"""Parallel job execution with caching, timeouts, and failure capture.
+"""Parallel job execution with caching and failure capture.
 
 :class:`JobRunner` executes *batches* of specs.  The jobs that neither a
 campaign manifest nor the cache serves run in *rounds*: each round runs
-every unfinished job once, and every outcome then meets the same code,
-which retries it in the next round or stores and completes it:
+every unfinished job once, and every outcome it returns is completed
+(and cached, if it succeeded), so a job's failure is final within its
+batch.  Only the jobs a broken pool lost run again, in the next round:
 
 * ``jobs=1`` (the default, or ``REPRO_JOBS``), or a batch with one job
   to simulate, runs its rounds in-process — the reference path every
@@ -18,9 +19,9 @@ which retries it in the next round or stores and completes it:
   cache;
 * a worker exception never kills the batch: it comes back as a
   structured :class:`~repro.exec.record.JobFailure` carrying a
-  failure ``kind`` (``timeout`` / ``crash`` / ``sim-error``);
-* ``timeout`` (seconds per job) bounds runaway simulations via
-  ``SIGALRM`` where the job runs (Unix main threads; ignored elsewhere);
+  failure ``kind`` (``crash`` / ``sim-error``);
+* a runaway job is bounded by its spec alone: its ``max_cycles`` (and
+  the optional watchdog) end it in a diagnosed ``DeadlockError``;
 * a ``progress`` callback — e.g. :class:`StderrProgress` — observes
   every completion and its source: ``"simulated"``, ``"cache"``, or
   ``"resumed"`` (served by a campaign manifest).
@@ -29,31 +30,26 @@ The runner is also the host-side **instrumentation point**
 (docs/OBSERVABILITY.md): give it a
 :class:`~repro.obs.metrics.MetricsRegistry` and it records per-job
 wall-clock splits (queue-wait vs run vs cache-lookup), cache
-hit/miss/store timings, pool occupancy, and timeout/failure counts;
-give it a :class:`~repro.obs.ledger.RunLedger` and every completion is
-appended to the persistent run ledger; give it a ``profile_dir`` and
-every simulated job runs under ``cProfile`` with one capture per spec
-digest.
+hit/miss/store timings, pool occupancy, and failure counts; give it a
+:class:`~repro.obs.ledger.RunLedger` and every completion is appended
+to the persistent run ledger; give it a ``profile_dir`` and every
+simulated job runs under ``cProfile`` with one capture per spec digest.
 
 And it is the host-side **robustness point** (docs/EXECUTION.md,
 "Failure handling & recovery"): every pool is supervised — the jobs a
-broken pool leaves unfinished go out again on a fresh pool at no retry
-cost, up to :data:`MAX_POOL_RESTARTS` times, after which the remaining
-rounds run in-process instead of failing the batch.  Give it a
-:class:`~repro.exec.robust.RetryPolicy` and a job's own transient
-failures (``timeout`` and ``crash`` outcomes) run again in the next
-round, after a backoff and with a raised deadline; without one it runs
-under ``RetryPolicy(max_attempts=1)``, which retries nothing.  Give it
-a ``manifest_dir`` and every completion is checkpointed to an atomic
+broken pool leaves unfinished go out again on a fresh pool, up to
+:data:`MAX_POOL_RESTARTS` times, after which the remaining rounds run
+in-process instead of failing the batch.  Give it a ``manifest_dir``
+and every completion is checkpointed to an atomic
 :class:`~repro.exec.robust.CampaignManifest`, so a re-run of the same
 batch (``--resume``) skips completed jobs even with the cache disabled
-and after a SIGKILL; give it a :class:`~repro.exec.chaos.ChaosPlan`
-and host faults are injected deterministically (the soak suite in
-``tests/exec/test_chaos.py``).
+and after a SIGKILL, and simulates a ``crash`` again; give it a
+:class:`~repro.exec.chaos.ChaosPlan` and host faults are injected
+deterministically (the soak suite in ``tests/exec/test_chaos.py``).
 
 Simulated results are bit-identical whatever is configured:
-instrumentation only observes, and retries and resubmissions re-run a
-pure function.
+instrumentation only observes, and resubmissions re-run a pure
+function.
 
 The ``fork`` start method is used when available so workers inherit the
 parent's interpreter state (including ``PYTHONHASHSEED``); see
@@ -63,23 +59,19 @@ docs/EXECUTION.md for the bit-exactness argument.
 from __future__ import annotations
 
 import gc
-import math
 import os
-import signal
 import sys
 import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.exec.cache import ResultCache
 from repro.exec.record import JobFailure, RunRecord, check_outcomes
-from repro.exec.robust import RetryPolicy
 from repro.exec.spec import JobSpec
 
 #: Environment variable providing the default ``jobs`` value.
@@ -106,69 +98,19 @@ def default_jobs() -> int:
         return 1
 
 
-class _JobTimeout(Exception):
-    """Internal: the per-job SIGALRM deadline fired."""
-
-
-@contextmanager
-def _deadline(seconds: Optional[float]):
-    """Raise :class:`_JobTimeout` after ``seconds`` (best effort).
-
-    Uses ``SIGALRM``, so it only arms on Unix main threads; everywhere
-    else (no SIGALRM, a worker thread) the job simply runs without a
-    timeout.  If arming fails partway, any pre-existing handler is
-    restored before the job runs — the context can never leak a
-    foreign SIGALRM disposition.
-    """
-    if not seconds or not hasattr(signal, "SIGALRM"):
-        yield
-        return
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _fire(signum, frame):
-        raise _JobTimeout(f"job exceeded {seconds:g}s timeout")
-
-    try:
-        previous = signal.signal(signal.SIGALRM, _fire)
-    except ValueError:          # races with an interpreter shutdown etc.
-        yield
-        return
-    try:
-        armed = False
-        try:
-            signal.alarm(max(1, math.ceil(seconds)))
-            armed = True
-        except (OSError, OverflowError, ValueError):
-            pass                # arming failed: run unbounded
-        try:
-            yield
-        finally:
-            if armed:
-                signal.alarm(0)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _run_job(spec: JobSpec, timeout: Optional[float]) -> Outcome:
+def _run_job(spec: JobSpec) -> Outcome:
     """Simulate one spec, converting any exception into a JobFailure.
 
     Exceptions caught *here* happened inside the simulation and are
-    deterministic functions of the spec (``kind="sim-error"``, or
-    ``timeout`` for the deadline).  Worker-process death never reaches
-    this handler: the pool-side caller resubmits its victims, and
-    classifies any other exception the pool raises as ``crash``.
+    deterministic functions of the spec (``kind="sim-error"``).
+    Worker-process death never reaches this handler: the pool-side
+    caller resubmits its victims, and classifies any other exception
+    the pool raises as ``crash``.
     """
     from repro.exec.engines import simulate
 
     try:
-        with _deadline(timeout):
-            result = simulate(spec)
-        return RunRecord.from_result(spec.digest, result)
-    except _JobTimeout as exc:
-        return JobFailure.from_exception(spec.digest, spec.label, exc,
-                                         timed_out=True)
+        return RunRecord.from_result(spec.digest, simulate(spec))
     except Exception as exc:
         return JobFailure.from_exception(spec.digest, spec.label, exc)
 
@@ -193,8 +135,7 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def _worker(spec: JobSpec, timeout: Optional[float],
-            submitted_at: Optional[float] = None,
+def _worker(spec: JobSpec, submitted_at: Optional[float] = None,
             profile_path: Optional[str] = None,
             chaos_kill: bool = False):
     """:func:`_run_job` with measurement, in-process or in a pool worker.
@@ -205,7 +146,8 @@ def _worker(spec: JobSpec, timeout: Optional[float],
     difference is the job's wait behind the round's other jobs;
     best-effort 0.0 where that assumption fails.  ``profile_path`` wraps
     the simulation in a ``cProfile`` capture, entirely outside the
-    result path.
+    result path: a capture that cannot be written is dropped, never the
+    job's outcome.
 
     A full collection follows every job, after ``run_seconds`` is
     taken.  A finished simulation is a web of reference cycles (engine,
@@ -230,9 +172,9 @@ def _worker(spec: JobSpec, timeout: Optional[float],
         from repro.obs.profile import capture_profile
 
         with capture_profile(profile_path):
-            outcome = _run_job(spec, timeout)
+            outcome = _run_job(spec)
     else:
-        outcome = _run_job(spec, timeout)
+        outcome = _run_job(spec)
     run_seconds = time.perf_counter() - start
     gc.collect()
     return outcome, run_seconds, queue_seconds
@@ -246,17 +188,12 @@ class StderrProgress:
     instance serves many sequential batches).  Before the batch has
     produced two data points of its own, the ETA of a simulated
     completion falls back to the run ledger's historical mean job time
-    (``ledger.estimate_seconds()``) — a mean over *final* attempts only
-    (the ledger marks retried attempts, and the estimator excludes
-    them), so a flaky stretch of history does not skew the forecast.
-    A first completion served by the cache or a manifest prints no
-    pace: it took no simulation, so the mean says nothing of it.
+    (``ledger.estimate_seconds()``).  A first completion served by the
+    cache or a manifest prints no pace: it took no simulation, so the
+    mean says nothing of it.
 
-    The runner notifies retries and quarantines through
-    :meth:`note_retry` / :meth:`note_quarantine`; nonzero counts are
-    surfaced on every line (e.g. ``[3 retried, 1 quarantined]``).
-    Retried attempts never bump ``done``, so the measured jobs/sec is
-    completions per second, not attempts per second.
+    The runner notifies quarantines through :meth:`note_quarantine`; a
+    nonzero count is surfaced on every line (e.g. ``[1 quarantined]``).
     """
 
     def __init__(self, ledger=None) -> None:
@@ -265,12 +202,7 @@ class StderrProgress:
         self._n0 = 0
         self._hint: Optional[float] = None
         self._hint_loaded = False
-        self._retried = 0
         self._quarantined = 0
-
-    def note_retry(self, count: int = 1) -> None:
-        """A failed attempt is being re-run (called by the runner)."""
-        self._retried += count
 
     def note_quarantine(self, count: int = 1) -> None:
         """Corrupt cache entries were quarantined (called by the runner)."""
@@ -292,13 +224,10 @@ class StderrProgress:
         return f" ({rate:.1f} jobs/s, eta {eta:.0f}s)"
 
     def _health(self) -> str:
-        """`` [N retried, M quarantined]`` suffix, or ``""``."""
-        parts = []
-        if self._retried:
-            parts.append(f"{self._retried} retried")
-        if self._quarantined:
-            parts.append(f"{self._quarantined} quarantined")
-        return f" [{', '.join(parts)}]" if parts else ""
+        """`` [N quarantined]`` suffix, or ``""``."""
+        if not self._quarantined:
+            return ""
+        return f" [{self._quarantined} quarantined]"
 
     def __call__(self, done: int, total: int, spec: JobSpec,
                  outcome: Outcome, source: str) -> None:
@@ -323,20 +252,20 @@ class StderrProgress:
             sys.stderr.write(line + "\n")
         sys.stderr.flush()
         if done >= total:
-            # Batch over: health counters are per-batch, like the rate.
-            self._retried = self._quarantined = 0
+            # Batch over: the health counter is per-batch, like the rate.
+            self._quarantined = 0
 
 
 @dataclass
 class RunnerStats:
     """Aggregate execution counts and timings for one :class:`JobRunner`.
 
-    The counts are deterministic for a given batch (retry/robustness
-    counts are deterministic under a seeded chaos plan); the two
-    wall-clock totals are host measurements.  ``run_seconds`` is
-    *summed job time* including retried attempts (with ``jobs>1`` it
-    exceeds batch wall-clock — it is the work the pool absorbed),
-    ``cache_seconds`` is time spent on cache lookups and stores.
+    The counts are deterministic for a given batch (robustness counts
+    are deterministic under a seeded chaos plan); the two wall-clock
+    totals are host measurements.  ``run_seconds`` is *summed job time*
+    (with ``jobs>1`` it exceeds batch wall-clock — it is the work the
+    pool absorbed), ``cache_seconds`` is time spent on cache lookups
+    and stores.
     """
 
     submitted: int = 0      # specs handed to run() (incl. duplicates)
@@ -344,7 +273,6 @@ class RunnerStats:
     cached: int = 0         # cache hits
     executed: int = 0       # real simulations
     failed: int = 0         # jobs that returned a JobFailure
-    retried: int = 0        # failed attempts that were re-run
     quarantined: int = 0    # corrupt cache entries moved aside
     resumed: int = 0        # jobs skipped via a campaign manifest
     pool_restarts: int = 0  # process pools rebuilt after worker death
@@ -367,8 +295,7 @@ class RunnerStats:
         return dict(submitted=self.submitted,
                     deduplicated=self.deduplicated, cached=self.cached,
                     executed=self.executed, failed=self.failed,
-                    retried=self.retried, quarantined=self.quarantined,
-                    resumed=self.resumed,
+                    quarantined=self.quarantined, resumed=self.resumed,
                     pool_restarts=self.pool_restarts,
                     run_seconds=self.run_seconds,
                     cache_seconds=self.cache_seconds)
@@ -384,8 +311,6 @@ class JobRunner:
         reads ``REPRO_JOBS``.
     cache:
         A :class:`ResultCache`, or ``None`` (default) for no caching.
-    timeout:
-        Per-job wall-clock budget in seconds (``None`` = unbounded).
     progress:
         Callback ``(done, total, spec, outcome, source)`` observed on
         every job completion; ``source`` is ``"simulated"``,
@@ -400,19 +325,11 @@ class JobRunner:
     ledger:
         A :class:`~repro.obs.ledger.RunLedger`, or ``None`` (default):
         every completion (simulated, cached or resumed) is appended
-        with its timing split; retried attempts are appended too, marked
-        ``retried``.
+        with its timing split.
     profile_dir:
         Directory for per-job ``cProfile`` captures
         (``<spec-digest>.pstats``), or ``None`` (default) for no
         profiling.  Cached hits are not profiled — nothing ran.
-    retry:
-        A :class:`~repro.exec.robust.RetryPolicy`, or ``None``
-        (default) for ``RetryPolicy(max_attempts=1)``: one attempt per
-        job.  A policy with more attempts retries transient failures
-        (timeouts with a raised deadline).  Either way broken pools are
-        rebuilt up to :data:`MAX_POOL_RESTARTS` times, and further pool
-        loss degrades to in-process rounds.
     chaos:
         A :class:`~repro.exec.chaos.ChaosPlan`, or ``None`` (default):
         deterministic host-fault injection (worker kills) for the soak
@@ -426,20 +343,17 @@ class JobRunner:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 timeout: Optional[float] = None,
                  progress: Optional[ProgressFn] = None,
                  metrics=None, ledger=None,
                  profile_dir: Union[str, Path, None] = None,
-                 retry=None, chaos=None,
+                 chaos=None,
                  manifest_dir: Union[str, Path, None] = None) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache = cache
-        self.timeout = timeout
         self.progress = progress
         self.metrics = metrics
         self.ledger = ledger
         self.profile_dir = Path(profile_dir) if profile_dir else None
-        self.retry = RetryPolicy(max_attempts=1) if retry is None else retry
         self.chaos = chaos
         self.manifest_dir = Path(manifest_dir) if manifest_dir else None
         self.stats = RunnerStats()
@@ -448,7 +362,6 @@ class JobRunner:
     def _profile_path(self, spec: JobSpec) -> Optional[str]:
         if self.profile_dir is None:
             return None
-        self.profile_dir.mkdir(parents=True, exist_ok=True)
         return str(self.profile_dir / f"{spec.digest}.pstats")
 
     @staticmethod
@@ -554,39 +467,25 @@ class JobRunner:
 
         Each round runs every unfinished job once: on a fresh pool when
         ``jobs>1`` and more than one job is pending, in-process
-        otherwise.  A failure the retry policy calls transient runs
-        again in the next round, after a backoff and with a raised
-        deadline; every other outcome is stored and completed as it
-        arrives.  A job lost with a broken pool goes out again at no
-        retry cost; after :data:`MAX_POOL_RESTARTS` broken pools the
+        otherwise.  Every outcome, a failure included, is completed as
+        it arrives.  A job lost with a broken pool goes out again in the
+        next round; after :data:`MAX_POOL_RESTARTS` broken pools the
         remaining rounds run in-process, with a warning.
         """
-        policy = self.retry
         todo: Dict[str, JobSpec] = {s.digest: s for s in pending}
-        attempts: Dict[str, int] = dict.fromkeys(todo, 0)
         submissions: Dict[str, int] = dict.fromkeys(todo, 0)
         pooled = self.jobs > 1 and len(todo) > 1
         restarts = 0
         while todo:
-            retried: List[str] = []
             specs = list(todo.values())
-            results = (self._pool_round(specs, attempts, submissions)
-                       if pooled else self._in_process_round(specs,
-                                                             attempts))
+            results = (self._pool_round(specs, submissions) if pooled
+                       else self._in_process_round(specs))
             for spec, (outcome, run_seconds, queue_seconds) in results:
-                digest = spec.digest
-                if not outcome.ok and policy.should_retry(
-                        outcome, attempts[digest]):
-                    self._note_retry(spec, outcome, run_seconds,
-                                     queue_seconds)
-                    retried.append(digest)
-                    attempts[digest] += 1
-                    continue
                 self._cache_put(spec, outcome)
-                del todo[digest]
+                del todo[spec.digest]
                 complete(spec, outcome, "simulated", run_seconds,
                          queue_seconds)
-            if len(todo) > len(retried):    # some were lost with the pool
+            if todo:    # lost with the pool
                 restarts += 1
                 self.stats.pool_restarts += 1
                 if self.metrics is not None:
@@ -606,12 +505,8 @@ class JobRunner:
                             "batches degraded to in-process execution"
                         ).inc()
                     pooled = False
-            if retried:
-                policy.sleep(max(policy.delay(d, attempts[d] - 1)
-                                 for d in retried))
 
-    def _in_process_round(self, specs: List[JobSpec],
-                          attempts: Dict[str, int]):
+    def _in_process_round(self, specs: List[JobSpec]):
         """Run ``specs`` one after another in this process, yielding
         ``(spec, (outcome, run_seconds, queue_seconds))`` for each.
 
@@ -620,24 +515,20 @@ class JobRunner:
         """
         submitted_at = time.perf_counter()
         for spec in specs:
-            yield spec, _worker(
-                spec, self.retry.timeout_for(self.timeout,
-                                             attempts[spec.digest]),
-                submitted_at, self._profile_path(spec))
+            yield spec, _worker(spec, submitted_at, self._profile_path(spec))
 
-    def _pool_round(self, specs: List[JobSpec], attempts: Dict[str, int],
+    def _pool_round(self, specs: List[JobSpec],
                     submissions: Dict[str, int]):
         """Run ``specs`` on a fresh pool, yielding like
         :meth:`_in_process_round` as jobs finish.
 
-        A fresh pool per round keeps a retried crash off the pool its
-        first attempt may have wounded.  A job the round does not yield
-        was lost with the pool: one worker death breaks the whole
-        ``ProcessPoolExecutor``, failing every pending future, the
-        culprit's and its victims' alike, and a pool that breaks
-        mid-submission refuses the rest of the round.  ``submissions``
-        keys the chaos plan's kill decisions, so a resubmitted job
-        draws a fresh roll.
+        A job the round does not yield was lost with the pool: one
+        worker death breaks the whole ``ProcessPoolExecutor``, failing
+        every pending future, the culprit's and its victims' alike, and
+        a pool that breaks mid-submission refuses the rest of the round.
+        A broken pool takes no more work, so the next round starts a
+        fresh one.  ``submissions`` keys the chaos plan's kill
+        decisions, so a resubmitted job draws a fresh roll.
         """
         with ProcessPoolExecutor(max_workers=self.jobs,
                                  mp_context=self._mp_context(),
@@ -651,11 +542,8 @@ class JobRunner:
                         and self.chaos.kill_worker(digest,
                                                    submissions[digest]))
                 try:
-                    future = pool.submit(
-                        _worker, spec,
-                        self.retry.timeout_for(self.timeout,
-                                               attempts[digest]),
-                        submitted_at, self._profile_path(spec), kill)
+                    future = pool.submit(_worker, spec, submitted_at,
+                                         self._profile_path(spec), kill)
                 except BrokenProcessPool:
                     break
                 submissions[digest] += 1
@@ -669,7 +557,7 @@ class JobRunner:
                     result = future.result()
                 except BrokenProcessPool:
                     continue
-                except Exception as exc:   # this worker died
+                except Exception as exc:   # raised outside the simulation
                     result = (JobFailure.from_exception(
                         spec.digest, spec.label, exc, kind="crash"),
                         0.0, 0.0)
@@ -685,26 +573,6 @@ class JobRunner:
                 (1, 2, 4, 8, 16, 32, 64),
                 "pending jobs at each completion",
                 volatile=True).record(remaining)
-
-    def _note_retry(self, spec: JobSpec, outcome: Outcome,
-                    run_seconds: float, queue_seconds: float) -> None:
-        """Account one failed attempt that is about to be re-run."""
-        self.stats.retried += 1
-        self.stats.run_seconds += run_seconds
-        if self.metrics is not None:
-            self.metrics.counter(
-                "exec.jobs.retried",
-                "failed attempts re-run under the retry policy").inc()
-        if self.ledger is not None:
-            self.ledger.record_job(
-                spec, outcome, source="simulated",
-                run_seconds=run_seconds, queue_seconds=queue_seconds,
-                jobs=self.jobs, retried=True,
-            )
-        if self.progress is not None:
-            note = getattr(self.progress, "note_retry", None)
-            if note is not None:
-                note()
 
     # ------------------------------------------------------------------
     def _cache_get(self, spec: JobSpec):
@@ -775,10 +643,6 @@ class JobRunner:
         if not outcome.ok:
             metrics.counter("exec.jobs.failed",
                             "jobs returning a JobFailure").inc()
-            if getattr(outcome, "timed_out", False):
-                metrics.counter("exec.jobs.timeout",
-                                "jobs killed by the per-job "
-                                "timeout").inc()
         if outcome.ok:
             metrics.histogram("exec.job.cycles", CYCLES_BUCKETS,
                               "simulated cycles per job").record(

@@ -11,7 +11,7 @@ numbers cannot show.
 Every point is an ordinary :class:`~repro.exec.JobSpec` carrying the
 workload spec (docs/WORKLOADS.md), executed through a
 :class:`~repro.exec.JobRunner` — so open-system sweeps parallelise,
-cache, retry, and land in the run ledger exactly like every other
+cache, resume, and land in the run ledger exactly like every other
 experiment in the suite.
 """
 

@@ -122,8 +122,7 @@ class RunLedger:
 
     def record_job(self, spec, outcome, *, source: str,
                    run_seconds: float = 0.0, queue_seconds: float = 0.0,
-                   lookup_seconds: float = 0.0, jobs: int = 1,
-                   retried: bool = False) -> None:
+                   lookup_seconds: float = 0.0, jobs: int = 1) -> None:
         """Ledger one :class:`~repro.exec.runner.JobRunner` completion
         from ``source`` (``"simulated"``, ``"cache"`` or ``"resumed"``)."""
         from repro.exec.cache import code_salt
@@ -144,10 +143,6 @@ class RunLedger:
             "jobs": jobs,
             "salt": code_salt(),
         }
-        if retried:
-            # A failed attempt about to be re-run: visible in history,
-            # excluded from the ETA estimator's mean.
-            entry["retried"] = True
         if source == "resumed":
             # Served from a campaign manifest, not simulated now.
             entry["resumed"] = True
@@ -155,7 +150,6 @@ class RunLedger:
             entry["cycles"] = outcome.cycles
         else:
             entry["error"] = outcome.error_type
-            entry["timed_out"] = bool(getattr(outcome, "timed_out", False))
             entry["kind"] = getattr(outcome, "kind", "sim-error")
         self.append(entry)
 
@@ -184,13 +178,12 @@ class RunLedger:
     def estimate_seconds(self, window: int = 200) -> Optional[float]:
         """Mean ``run_seconds`` over the last ``window`` *executed*
         entries — the prior the progress printer uses for its first ETA
-        before this batch has produced timings of its own.  Retried
-        attempts are excluded — they measure a fault (a timeout budget,
-        a mid-job kill), not a job's cost — as are manifest-resumed
-        completions, which did not simulate at all."""
+        before this batch has produced timings of its own.
+        Manifest-resumed completions are excluded: they did not
+        simulate at all."""
         timed = [e["run_seconds"] for e in self.entries()
-                 if not e.get("cached") and not e.get("retried")
-                 and not e.get("resumed") and e.get("run_seconds")]
+                 if not e.get("cached") and not e.get("resumed")
+                 and e.get("run_seconds")]
         timed = timed[max(len(timed) - window, 0):]
         if not timed:
             return None

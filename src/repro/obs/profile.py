@@ -16,7 +16,8 @@ answers it with the standard library profiler:
 Profiling is strictly host-side observability: it changes wall-clock,
 never simulated cycles, and the capture sits entirely outside
 :func:`~repro.exec.runner._run_job`'s result path, so record digests
-are identical with profiling on or off.
+are identical with profiling on or off, and a capture that cannot be
+written never changes a job's outcome.
 """
 
 from __future__ import annotations
@@ -50,8 +51,10 @@ def capture_profile(path: Union[str, Path, None]):
 
     Dumps standard ``pstats`` marshal data (:func:`_snapshot_stats`), so
     captures are loadable by any :mod:`pstats` tooling, not just this
-    module.  The dump happens even when the block raises — a timed-out
-    job's partial profile is exactly the interesting one.
+    module.  The dump happens even when the block raises — a failed
+    job's partial profile is exactly the interesting one.  A dump that
+    raises ``OSError`` is dropped, as a failed ledger append is: the
+    capture is a side output of the job it profiles.
     """
     if path is None:
         yield
@@ -63,9 +66,12 @@ def capture_profile(path: Union[str, Path, None]):
         yield
     finally:
         profiler.disable()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as out:
-            marshal.dump(_snapshot_stats(profiler), out)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(path, "wb") as out:
+                marshal.dump(_snapshot_stats(profiler), out)
+        except OSError:
+            pass
 
 
 def _snapshot_stats(profiler: cProfile.Profile) -> Dict:

@@ -113,10 +113,9 @@ def run_fault_campaign(
                 record["kind"] = outcome.kind
             else:
                 # A diagnosed termination is a deterministic sim-error;
-                # anything else (a host crash, a timeout, a wrong
-                # answer caught by verification) is not a campaign
-                # datum — it is either transient (retryable at the
-                # execution layer) or a bug.
+                # anything else (a host crash, a wrong answer caught by
+                # verification) is not a campaign datum — it is either
+                # transient (re-run by --resume) or a bug.
                 raise JobFailedError(outcome)
             runs.append(record)
         overhead = "-"

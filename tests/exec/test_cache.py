@@ -357,6 +357,26 @@ def test_repair_quarantines_only_the_corrupt(tmp_path):
     assert cache.verify() == (2, [])
 
 
+def test_repair_leaves_an_unreadable_entry_in_place(tmp_path):
+    """An entry whose read fails is an I/O error, as it is to ``get``:
+    repair moves only what fails the check, and verify still lists the
+    entry it could not read."""
+    cache = ResultCache(tmp_path)
+    specs = [make_spec("fib", n, quick=True) for n in (1, 2, 3)]
+    paths = [cache.put(s, execute(s)) for s in specs[:2]]
+    paths[0].write_text("{nope")
+    unreadable = cache._path(specs[2])
+    unreadable.mkdir()
+    valid, moved = cache.repair()
+    assert valid == 1 and len(moved) == 1
+    assert not paths[0].exists() and unreadable.is_dir()
+    assert cache.quarantined == 1
+    valid, corrupt = cache.verify()
+    assert valid == 1
+    assert [(p, reason.split(":")[0]) for p, reason in corrupt] == \
+        [(unreadable, "unreadable")]
+
+
 def test_put_is_best_effort_on_io_error(tmp_path, monkeypatch):
     cache = ResultCache(tmp_path)
     spec = make_spec("fib", 2, quick=True)

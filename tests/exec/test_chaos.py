@@ -1,13 +1,12 @@
 """Host-fault soak suite: chaos runs must match the fault-free truth.
 
 The contract (docs/EXECUTION.md, "Failure handling & recovery"): with
-retries, cache self-healing, pool supervision, and checkpointing armed,
-a batch running under an aggressive seeded :class:`ChaosPlan` —
-workers killed mid-job, cache entries corrupted, transient I/O errors
-— still *completes*, and every record is bit-identical to a fault-free
-serial reference, because simulation is a pure function of the spec
-and every injected host fault is retried, quarantined, or degraded
-around.
+cache self-healing, pool supervision, and checkpointing armed, a batch
+running under an aggressive seeded :class:`ChaosPlan` — workers killed
+mid-job, cache entries corrupted, transient I/O errors — still
+*completes*, and every record is bit-identical to a fault-free serial
+reference, because simulation is a pure function of the spec and every
+injected host fault is resubmitted, quarantined, or degraded around.
 """
 
 import os
@@ -20,7 +19,6 @@ from repro.exec import (
     ChaosPlan,
     JobRunner,
     ResultCache,
-    RetryPolicy,
     make_spec,
 )
 
@@ -42,10 +40,6 @@ def reference():
     """Fault-free serial reference digests (the ground truth)."""
     records = JobRunner(jobs=1).run_checked(_specs())
     return [r.digest for r in records]
-
-
-def _quiet_policy():
-    return RetryPolicy(max_attempts=4, sleep=lambda s: None)
 
 
 def test_chaos_plan_is_deterministic():
@@ -75,7 +69,6 @@ def test_soak_parallel_chaos_matches_serial_reference(tmp_path,
     runner = JobRunner(
         jobs=4,
         cache=ResultCache(tmp_path, chaos=chaos),
-        retry=_quiet_policy(),
         chaos=chaos,
         manifest_dir=tmp_path / "manifests",
     )
@@ -95,7 +88,6 @@ def test_soak_completes_across_multiple_seeds(tmp_path, reference):
         runner = JobRunner(
             jobs=4,
             cache=ResultCache(tmp_path / str(seed), chaos=chaos),
-            retry=_quiet_policy(),
             chaos=chaos,
         )
         with warnings.catch_warnings():
@@ -155,27 +147,19 @@ def test_kill_only_chaos_retries_on_rebuilt_pools(tmp_path, reference,
     monkeypatch.setattr(runner_mod, "MAX_POOL_RESTARTS", 100)
     runner = JobRunner(
         jobs=2,
-        retry=_quiet_policy(),
         chaos=chaos,
     )
     records = runner.run_checked(_specs()[:10])
     assert [r.digest for r in records] == reference[:10]
     assert runner.stats.pool_restarts > 0, \
         "a 0.4 kill rate over 10 jobs must break the pool"
-    # Pool-break victims resubmit without burning retry budget: the
-    # restart counter, not `retried`, accounts for kills.
-    assert runner.stats.retried == 0
     assert runner.stats.failed == 0
 
 
-@pytest.mark.parametrize("retry", [None, _quiet_policy()],
-                         ids=["no-policy", "policy"])
-def test_pool_broken_during_submission_resubmits(reference, monkeypatch,
-                                                 retry):
+def test_pool_broken_during_submission_resubmits(reference, monkeypatch):
     # A killed worker can break the pool while the round is still being
     # submitted, so submit itself raises; the unsubmitted jobs must
-    # move to the next round's pool instead of failing the batch, with
-    # or without a retry policy.
+    # move to the next round's pool instead of failing the batch.
     import repro.exec.runner as runner_mod
     from concurrent.futures.process import BrokenProcessPool
 
@@ -190,7 +174,7 @@ def test_pool_broken_during_submission_resubmits(reference, monkeypatch,
 
     monkeypatch.setattr(runner_mod, "ProcessPoolExecutor",
                         BreaksOnThirdSubmit)
-    runner = JobRunner(jobs=2, retry=retry)
+    runner = JobRunner(jobs=2)
     records = runner.run_checked(_specs()[:6])
     assert [r.digest for r in records] == reference[:6]
     assert runner.stats.pool_restarts == 1
@@ -199,10 +183,10 @@ def test_pool_broken_during_submission_resubmits(reference, monkeypatch,
 
 def test_worker_death_without_policy_resubmits_its_victims(
         tmp_path, reference, monkeypatch):
-    # No retry policy: a worker that dies still breaks only its pool.
-    # Every unfinished job, the one that killed it included, goes out
-    # again on a fresh pool at no retry cost, so nothing comes back as
-    # a crash.  The marker file lets the job survive its second run.
+    # A worker that dies breaks only its pool.  Every unfinished job,
+    # the one that killed it included, goes out again on a fresh pool,
+    # so nothing comes back as a crash.  The marker file lets the job
+    # survive its second run.
     import repro.exec.runner as runner_mod
 
     specs = _specs()[:8]
@@ -210,18 +194,18 @@ def test_worker_death_without_policy_resubmits_its_victims(
     marker = tmp_path / "died-once"
     run_job = runner_mod._run_job
 
-    def dies_once(spec, timeout):
+    def dies_once(spec):
         if spec.digest == doomed and not marker.exists():
             marker.touch()
             os._exit(70)
-        return run_job(spec, timeout)
+        return run_job(spec)
 
     monkeypatch.setattr(runner_mod, "_run_job", dies_once)
     runner = JobRunner(jobs=2)
     records = runner.run_checked(specs)
     assert [r.digest for r in records] == reference[:8]
     assert runner.stats.pool_restarts == 1
-    assert runner.stats.retried == runner.stats.failed == 0
+    assert runner.stats.failed == 0
 
 
 def test_pool_loss_degrades_to_serial_and_completes(reference,
@@ -234,7 +218,6 @@ def test_pool_loss_degrades_to_serial_and_completes(reference,
     monkeypatch.setattr(runner_mod, "MAX_POOL_RESTARTS", 1)
     runner = JobRunner(
         jobs=2,
-        retry=_quiet_policy(),
         chaos=chaos,
     )
     specs = _specs()[:4]

@@ -137,50 +137,25 @@ def test_measured_rate_wins_over_hint(capsys, clock):
     assert match and float(match.group(1)) == 1.0
 
 
-# -- retry / quarantine surfacing (docs/EXECUTION.md) -------------------
+# -- quarantine surfacing (docs/EXECUTION.md) ---------------------------
 
-def test_retries_and_quarantines_surface_on_lines(capsys, clock):
+def test_quarantines_surface_on_lines(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
     progress(1, 3, spec, _record(spec), "simulated")
-    assert "retried" not in _lines(capsys)[0], "quiet until nonzero"
-    progress.note_retry()
-    progress.note_retry()
-    progress.note_retry()
+    assert "quarantined" not in _lines(capsys)[0], "quiet until nonzero"
     progress.note_quarantine()
     clock.advance(1.0)
     progress(2, 3, spec, _record(spec), "simulated")
-    assert "[3 retried, 1 quarantined]" in _lines(capsys)[0]
-
-
-def test_retried_attempts_do_not_inflate_the_rate(capsys, clock):
-    """A retry burns wall-clock but completes nothing: the jobs/s on
-    the next line must measure completions, not attempts."""
-    progress = StderrProgress()
-    spec = make_spec("fib", 1, quick=True)
-    progress(1, 5, spec, _record(spec), "simulated")
-    # Two failed attempts re-run over one second...
-    progress.note_retry()
-    clock.advance(0.5)
-    progress.note_retry()
-    clock.advance(0.5)
-    # ...then one more second produces the second completion.
-    clock.advance(1.0)
-    progress(2, 5, spec, _record(spec), "simulated")
-    line = _lines(capsys)[1]
-    match = re.search(r"\((\d+\.\d) jobs/s, eta (\d+)s\)", line)
-    assert match, line
-    assert float(match.group(1)) == 0.5     # 1 completion / 2s
-    assert int(match.group(2)) == 6         # 3 remaining / 0.5 jobs/s
-    assert "[2 retried]" in line
+    assert "[1 quarantined]" in _lines(capsys)[0]
 
 
 def test_health_counters_reset_at_batch_end(capsys, clock):
     progress = StderrProgress()
     spec = make_spec("fib", 1, quick=True)
-    progress.note_retry()
+    progress.note_quarantine()
     progress(1, 1, spec, _record(spec), "simulated")
-    assert "[1 retried]" in _lines(capsys)[0]
+    assert "[1 quarantined]" in _lines(capsys)[0]
     # Next batch starts clean.
     progress(1, 1, spec, _record(spec), "simulated")
-    assert "retried" not in _lines(capsys)[0]
+    assert "quarantined" not in _lines(capsys)[0]

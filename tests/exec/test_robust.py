@@ -1,4 +1,4 @@
-"""RetryPolicy rules and CampaignManifest checkpoint/resume."""
+"""unit_roll and CampaignManifest checkpoint/resume."""
 
 import json
 import re
@@ -9,7 +9,6 @@ from repro.exec import (
     CampaignManifest,
     JobFailure,
     JobRunner,
-    RetryPolicy,
     RunRecord,
     campaign_id,
     make_spec,
@@ -19,8 +18,7 @@ from repro.exec import (
 
 def _failure(kind, digest="d" * 32):
     return JobFailure(spec_digest=digest, label="fib-flex2",
-                      error_type="X", message="m",
-                      timed_out=(kind == "timeout"), kind=kind)
+                      error_type="X", message="m", kind=kind)
 
 
 # -- unit_roll ----------------------------------------------------------
@@ -31,54 +29,6 @@ def test_unit_roll_deterministic_and_uniformish():
     draws = [unit_roll(7, "x", i) for i in range(200)]
     assert all(0.0 <= d < 1.0 for d in draws)
     assert 0.3 < sum(draws) / len(draws) < 0.7
-
-
-# -- RetryPolicy --------------------------------------------------------
-
-def test_retry_classification_by_kind():
-    policy = RetryPolicy()
-    assert policy.should_retry(_failure("timeout"), 0)
-    assert policy.should_retry(_failure("crash"), 0)
-    assert not policy.should_retry(_failure("sim-error"), 0), \
-        "re-running a pure function cannot change the answer"
-
-
-def test_retry_budget_is_total_attempts():
-    policy = RetryPolicy(max_attempts=3)
-    timeout = _failure("timeout")
-    assert policy.should_retry(timeout, 0)
-    assert policy.should_retry(timeout, 1)
-    assert not policy.should_retry(timeout, 2)
-    assert not RetryPolicy(max_attempts=1).should_retry(timeout, 0)
-
-
-def test_backoff_grows_with_deterministic_jitter():
-    policy = RetryPolicy()
-    d0 = policy.delay("a" * 32, 0)
-    d1 = policy.delay("a" * 32, 1)
-    # Within the jitter band around 0.05 and 0.1 respectively.
-    assert 0.0375 <= d0 < 0.0625
-    assert 0.075 <= d1 < 0.125
-    # Pure function of (digest, attempt): replayable.
-    assert d0 == RetryPolicy(max_attempts=5).delay("a" * 32, 0)
-
-
-def test_default_backoff_delays_are_pinned():
-    """The backoff constants keep the delays of the policy whose
-    backoff, jitter and seed were settable, at their defaults."""
-    policy = RetryPolicy()
-    assert [policy.delay("a" * 32, k) for k in range(3)] == [
-        0.03930964332357492, 0.11537249326355647, 0.16608638694010544]
-    assert [policy.delay("d", k) for k in range(3)] == [
-        0.052330812353502426, 0.10799524841580524, 0.1924977513990092]
-
-
-def test_timeout_raised_on_retries_only():
-    policy = RetryPolicy()
-    assert policy.timeout_for(None, 3) is None
-    assert policy.timeout_for(10.0, 0) == 10.0
-    assert policy.timeout_for(10.0, 1) == 20.0
-    assert policy.timeout_for(10.0, 2) == 40.0
 
 
 # -- CampaignManifest ---------------------------------------------------
@@ -140,11 +90,11 @@ def test_manifest_survives_non_utf8_corruption(tmp_path):
 def test_manifest_transient_failures_rerun_on_resume(tmp_path):
     specs = _specs()
     manifest = CampaignManifest.for_specs(tmp_path, specs)
-    manifest.record(specs[0], _failure("timeout", specs[0].digest))
+    manifest.record(specs[0], _failure("crash", specs[0].digest))
     manifest.record(specs[1], _failure("sim-error", specs[1].digest))
     reloaded = CampaignManifest.for_specs(tmp_path, specs)
     assert reloaded.completed(specs[0].digest) is None, \
-        "a healthier host may beat the timeout: re-run it"
+        "a healthier host may not crash: re-run it"
     diagnosed = reloaded.completed(specs[1].digest)
     assert diagnosed is not None and not diagnosed.ok, \
         "deterministic failures are final: do not re-run"
@@ -222,6 +172,45 @@ def test_runner_resume_runs_only_the_remainder(tmp_path):
     again = JobRunner(manifest_dir=tmp_path)
     again.run_checked(specs)
     assert again.stats.resumed == 3 and again.stats.executed == 0
+
+
+def test_pooled_crash_is_final_and_reruns_on_resume(tmp_path, monkeypatch):
+    """A job that raises outside the simulation comes back as a crash
+    after one attempt, its siblings complete, and the next run of the
+    batch serves the siblings from the manifest and simulates only it."""
+    import repro.exec.runner as runner_mod
+
+    specs = [make_spec("fib", n, quick=True) for n in (2, 3, 4)]
+    doomed = specs[1].digest
+    attempts = tmp_path / "attempts"
+    run_job = runner_mod._run_job
+
+    def crashes(spec):
+        if spec.digest == doomed:
+            with open(attempts, "a") as handle:
+                handle.write("x")
+            raise OSError("host fault outside the simulation")
+        return run_job(spec)
+
+    monkeypatch.setattr(runner_mod, "_run_job", crashes)
+    manifest_dir = tmp_path / "manifests"
+    first = JobRunner(jobs=2, manifest_dir=manifest_dir)
+    outcomes = first.run(specs)
+    crash = outcomes[1]
+    assert not crash.ok and crash.kind == "crash"
+    assert crash.error_type == "OSError"
+    assert attempts.read_text() == "x", "a failure is final: one attempt"
+    assert outcomes[0].ok and outcomes[2].ok
+    assert first.stats.executed == 2 and first.stats.failed == 1
+    assert first.stats.pool_restarts == 0
+
+    monkeypatch.setattr(runner_mod, "_run_job", run_job)
+    second = JobRunner(jobs=2, manifest_dir=manifest_dir)
+    records = second.run_checked(specs)
+    assert second.stats.resumed == 2 and second.stats.executed == 1
+    assert records[1].spec_digest == doomed
+    assert [records[0].digest, records[2].digest] == \
+        [outcomes[0].digest, outcomes[2].digest]
 
 
 def test_resumed_jobs_do_not_trip_expect_cached(tmp_path):

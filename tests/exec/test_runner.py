@@ -1,4 +1,4 @@
-"""JobRunner batching: dedup, failure capture, progress, timeouts."""
+"""JobRunner batching: dedup, failure capture, progress."""
 
 import os
 import signal
@@ -67,7 +67,7 @@ def test_pool_worker_frees_each_finished_job(monkeypatch):
 
     refs = []
 
-    def leaves_a_cycle(spec, timeout):
+    def leaves_a_cycle(spec):
         node = Node()
         node.self = node
         refs.append(weakref.ref(node))
@@ -77,8 +77,7 @@ def test_pool_worker_frees_each_finished_job(monkeypatch):
     enabled = gc.isenabled()
     gc.disable()        # only the worker's own collection may free it
     try:
-        outcome, _, _ = runner_mod._worker(
-            make_spec("fib", 2, quick=True), None)
+        outcome, _, _ = runner_mod._worker(make_spec("fib", 2, quick=True))
     finally:
         if enabled:
             gc.enable()
@@ -101,11 +100,11 @@ def test_serial_batch_frees_each_finished_job(monkeypatch):
     refs = []
     run_job = runner_mod._run_job
 
-    def leaves_a_cycle(spec, timeout):
+    def leaves_a_cycle(spec):
         node = Node()
         node.self = node
         refs.append(weakref.ref(node))
-        return run_job(spec, timeout)
+        return run_job(spec)
 
     monkeypatch.setattr(runner_mod, "_run_job", leaves_a_cycle)
     alive = []
@@ -167,11 +166,11 @@ def test_runner_stats_dict():
     # timing summary both consume these exact keys.
     assert sorted(stats) == ["cache_seconds", "cached", "deduplicated",
                              "executed", "failed", "pool_restarts",
-                             "quarantined", "resumed", "retried",
-                             "run_seconds", "submitted"]
+                             "quarantined", "resumed", "run_seconds",
+                             "submitted"]
     assert stats["run_seconds"] > 0.0
     assert stats["cache_seconds"] == 0.0       # no cache configured
-    assert stats["retried"] == stats["quarantined"] == 0
+    assert stats["quarantined"] == 0
     assert stats["resumed"] == stats["pool_restarts"] == 0
 
 
@@ -183,163 +182,40 @@ def test_runner_stats_cache_seconds(tmp_path):
     assert runner.stats.as_dict()["cache_seconds"] > 0.0
 
 
-# -- _deadline hardening (docs/EXECUTION.md failure handling) ----------
-
-def test_deadline_noop_without_sigalrm(monkeypatch):
-    # Platforms without SIGALRM (Windows) must run unbounded, not die.
-    import signal as signal_mod
-
-    from repro.exec import runner as runner_mod
-
-    monkeypatch.delattr(signal_mod, "SIGALRM", raising=False)
-    with runner_mod._deadline(0.01):
-        pass    # no timeout armed, no AttributeError
-
-
-def test_deadline_noop_off_main_thread():
-    import threading
-
-    from repro.exec import runner as runner_mod
-
-    errors = []
-
-    def body():
-        try:
-            # signal.signal would raise ValueError off the main
-            # thread; _deadline must not even try.
-            with runner_mod._deadline(0.01):
-                pass
-        except BaseException as exc:   # pragma: no cover
-            errors.append(exc)
-
-    thread = threading.Thread(target=body)
-    thread.start()
-    thread.join()
-    assert errors == []
-
-
-def test_deadline_restores_previous_handler_when_arming_fails(
-        monkeypatch):
-    import signal as signal_mod
-
-    from repro.exec import runner as runner_mod
-
-    def previous(signum, frame):    # pragma: no cover - never fired
-        pass
-
-    old = signal_mod.signal(signal_mod.SIGALRM, previous)
-    try:
-        monkeypatch.setattr(
-            runner_mod.signal, "alarm",
-            lambda *_: (_ for _ in ()).throw(OSError("no alarm")))
-        with runner_mod._deadline(0.01):
-            pass    # arming failed: job runs unbounded
-        assert signal_mod.getsignal(signal_mod.SIGALRM) is previous
-    finally:
-        signal_mod.signal(signal_mod.SIGALRM, old)
-
-
-# -- retry / quarantine accounting (RunnerStats) ------------------------
-
-def _flaky_run_job(fail_times, kind="timeout"):
-    """A `_run_job` stand-in failing the first N calls per digest."""
-
-    calls = {}
-
-    def fake(spec, timeout):
-        from repro.exec.engines import simulate
-
-        n = calls.get(spec.digest, 0)
-        calls[spec.digest] = n + 1
-        if n < fail_times:
-            return JobFailure(
-                spec_digest=spec.digest, label=spec.label,
-                error_type="FakeTimeout", message="injected",
-                timed_out=(kind == "timeout"), kind=kind)
-        return RunRecord.from_result(spec.digest, simulate(spec))
-
-    return fake, calls
-
-
-def test_retry_policy_recovers_transient_failure(monkeypatch):
-    from repro.exec import RetryPolicy
-    from repro.exec import runner as runner_mod
-
-    fake, calls = _flaky_run_job(fail_times=1)
-    monkeypatch.setattr(runner_mod, "_run_job", fake)
-    policy = RetryPolicy(max_attempts=3, sleep=lambda s: None)
-    runner = JobRunner(retry=policy)
-    (outcome,) = runner.run([make_spec("fib", 2, quick=True)])
-    assert outcome.ok
-    assert runner.stats.retried == 1
-    assert runner.stats.executed == 1
-    assert runner.stats.failed == 0
-    assert sum(calls.values()) == 2
-
-
-def test_retry_budget_exhausts_to_failure(monkeypatch):
-    from repro.exec import RetryPolicy
-    from repro.exec import runner as runner_mod
-
-    fake, calls = _flaky_run_job(fail_times=99)
-    monkeypatch.setattr(runner_mod, "_run_job", fake)
-    policy = RetryPolicy(max_attempts=2, sleep=lambda s: None)
-    runner = JobRunner(retry=policy)
-    (outcome,) = runner.run([make_spec("fib", 2, quick=True)])
-    assert not outcome.ok
-    assert runner.stats.retried == 1     # one re-attempt, then give up
-    assert runner.stats.failed == 1
-    assert sum(calls.values()) == 2
-
-
-def test_in_process_retry_runs_after_the_rest_of_its_round(monkeypatch):
-    """In-process rounds retry like pooled ones: a job that timed out
-    runs again after the round's other jobs, once, behind one backoff,
-    with its deadline raised."""
-    from repro.exec import RetryPolicy
-    from repro.exec import runner as runner_mod
-
-    first, second = (make_spec("fib", n, quick=True) for n in (1, 2))
-    deadlines = []
-    run_job = runner_mod._run_job
-
-    def first_times_out_once(spec, timeout):
-        deadlines.append((spec.label, timeout))
-        if spec == first and len(deadlines) == 1:
-            return JobFailure(spec_digest=spec.digest, label=spec.label,
-                              error_type="FakeTimeout", message="injected",
-                              timed_out=True, kind="timeout")
-        return run_job(spec, timeout)
-
-    monkeypatch.setattr(runner_mod, "_run_job", first_times_out_once)
-    sleeps, completed = [], []
-    runner = JobRunner(
-        timeout=30.0, retry=RetryPolicy(max_attempts=2,
-                                        sleep=sleeps.append),
-        progress=lambda done, total, spec, outcome, source:
-            completed.append(spec.label))
-    records = runner.run_checked([first, second])
-    assert completed == ["fib-flex2", "fib-flex1"]
-    assert [r.label for r in records] == ["fib-flex1", "fib-flex2"]
-    assert runner.stats.retried == 1 and runner.stats.executed == 2
-    assert deadlines == [("fib-flex1", 30.0), ("fib-flex2", 30.0),
-                         ("fib-flex1", 60.0)]
-    assert sleeps == [RetryPolicy().delay(first.digest, 0)]
-
+# -- failure / quarantine accounting (RunnerStats) ---------------------
 
 def test_sim_errors_never_retried(monkeypatch):
-    from repro.exec import RetryPolicy
     from repro.exec import runner as runner_mod
 
-    fake, calls = _flaky_run_job(fail_times=99, kind="sim-error")
-    monkeypatch.setattr(runner_mod, "_run_job", fake)
-    runner = JobRunner(retry=RetryPolicy(max_attempts=5,
-                                         sleep=lambda s: None))
+    calls = []
+
+    def fails(spec):
+        calls.append(spec.digest)
+        return JobFailure(spec_digest=spec.digest, label=spec.label,
+                          error_type="FakeError", message="injected",
+                          kind="sim-error")
+
+    monkeypatch.setattr(runner_mod, "_run_job", fails)
+    runner = JobRunner()
     (outcome,) = runner.run([make_spec("fib", 2, quick=True)])
     assert not outcome.ok
-    assert runner.stats.retried == 0, \
-        "deterministic failures must not burn attempts"
-    assert sum(calls.values()) == 1
+    assert runner.stats.failed == 1
+    assert len(calls) == 1, "deterministic failures must not burn attempts"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failed_profile_dump_leaves_the_job_outcome_alone(tmp_path, jobs):
+    """A profile capture is a side output: a dump that cannot be
+    written (a directory at its path) neither aborts the batch nor
+    fails a job whose simulation succeeded."""
+    specs = [make_spec("fib", n, quick=True) for n in (1, 2)]
+    profiles = tmp_path / "profiles"
+    (profiles / f"{specs[0].digest}.pstats").mkdir(parents=True)
+    runner = JobRunner(jobs=jobs, profile_dir=profiles)
+    records = runner.run_checked(specs)
+    assert [r.label for r in records] == ["fib-flex1", "fib-flex2"]
+    assert runner.stats.executed == 2 and runner.stats.failed == 0
+    assert (profiles / f"{specs[1].digest}.pstats").is_file()
 
 
 def test_quarantine_counted_by_runner(tmp_path):

@@ -110,11 +110,11 @@ def test_expect_cached_fails_when_a_job_fails_on_warm_cache(
 
     real_run_job = runner_mod._run_job
 
-    def failing(spec, timeout):
+    def failing(spec):
         if spec.faults is not None:
             return JobFailure(spec.digest, spec.label, "DeadlockError",
                               "injected test failure", parallelxl=True)
-        return real_run_job(spec, timeout)
+        return real_run_job(spec)
 
     monkeypatch.setattr(runner_mod, "_run_job", failing)
     cache_dir = str(tmp_path / "cache")
@@ -217,12 +217,15 @@ def test_profile_report_command(tmp_path, capsys):
     assert "engine" in out, "the sim engine loop must rank as hot"
 
 
-def test_negative_retries_rejected(capsys):
+def test_retries_option_removed(capsys):
+    """A job's failure is final within its batch: no experiment command
+    takes ``--retries``."""
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "fib", "--pes", "1,2", "--jobs", "2",
-              "--retries", "-3", "--no-cache"])
+              "--retries", "1", "--no-cache"])
     assert exc.value.code == 2
-    assert "--retries" in capsys.readouterr().err
+    assert "unrecognized arguments: --retries 1" in \
+        capsys.readouterr().err
 
 
 def test_ledger_recent_zero_prints_no_entry(tmp_path, capsys):

@@ -44,6 +44,21 @@ def test_run_lite_requires_port():
         run_lite("cilksort", 2, quick=True)
 
 
+@pytest.mark.parametrize("engine", ["lite", "cpu", "zynq-cpu"])
+def test_faults_rejected_where_the_engine_cannot_inject_them(engine):
+    """Only flex and zynq attach a fault plan; simulating a faulted spec
+    elsewhere would file a fault-free record under the faulted spec."""
+    from repro.exec import make_spec, simulate
+    from repro.resil.faults import FaultSpec
+
+    spec = make_spec("queens", 2, engine=engine, quick=True,
+                     faults=FaultSpec(steal_delay_rate=0.5,
+                                      arg_delay_rate=0.5),
+                     park_idle_pes=False)
+    with pytest.raises(ConfigError, match="cannot inject faults"):
+        simulate(spec)
+
+
 def test_run_zynq_flex_uses_fabric_clock():
     result = run_zynq_flex("queens", 2, quick=True)
     assert result.clock_mhz == 100.0

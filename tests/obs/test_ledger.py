@@ -130,7 +130,7 @@ def test_failed_job_ledgered_with_error(tmp_path):
     (entry,) = ledger.entries()
     assert entry["ok"] is False
     assert entry["error"] == "DeadlockError"
-    assert entry["timed_out"] is False
+    assert entry["kind"] == "sim-error"
     assert "cycles" not in entry
 
 
